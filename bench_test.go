@@ -232,26 +232,6 @@ func BenchmarkPSTSimilarity(b *testing.B) {
 	}
 }
 
-// BenchmarkPSTSimilarityFast measures the auxiliary-link scan of §4.3
-// ("the computational complexity could be reduced to O(l)") against
-// BenchmarkPSTSimilarity's plain O(l·L) walk.
-func BenchmarkPSTSimilarityFast(b *testing.B) {
-	tree := pst.MustNew(pst.Config{AlphabetSize: 20, MaxDepth: 8, Significance: 10, PMin: 0.01})
-	for i := 0; i < 20; i++ {
-		tree.Insert(randomSymbols(1000, 20, uint64(i+1)))
-	}
-	probe := randomSymbols(1000, 20, 99)
-	bg := make([]float64, 20)
-	for i := range bg {
-		bg[i] = 0.05
-	}
-	b.SetBytes(int64(len(probe)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.SimilarityFast(probe, bg)
-	}
-}
-
 // BenchmarkSuffixTreeBuild measures Ukkonen construction.
 func BenchmarkSuffixTreeBuild(b *testing.B) {
 	syms := randomSymbols(5000, 4, 2)

@@ -135,7 +135,7 @@ func LoadPST(r io.Reader) (*PST, error) { return pst.Load(r) }
 // applying exactly the membership rule the clustering converged to. Build
 // one with NewClassifier (from a run with Options.KeepTrees) or
 // LoadClassifier (from a saved model bundle); persist with
-// Classifier.Save.
+// Classifier.SaveBundle.
 type Classifier = core.Classifier
 
 // Assignment is one classification outcome.
@@ -147,8 +147,8 @@ func NewClassifier(db *Database, res *Result, opts Options) (*Classifier, error)
 	return core.NewClassifier(db, res, opts)
 }
 
-// LoadClassifier reads a model bundle previously written with
-// Classifier.Save or Classifier.SaveBundle.
+// LoadClassifier reads a model bundle written by Classifier.SaveBundle
+// (format v3), or a legacy v1/v2 bundle written by an earlier version.
 func LoadClassifier(r io.Reader) (*Classifier, error) { return core.LoadClassifier(r) }
 
 // BundleOptions parameterizes Classifier.SaveBundle (format v3, the

@@ -136,7 +136,7 @@ func TestPublicClassifierLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	if err := clf.Save(&buf); err != nil {
+	if err := clf.SaveBundle(&buf, cluseq.BundleOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := cluseq.LoadClassifier(strings.NewReader(buf.String()))

@@ -38,7 +38,7 @@ func trainModel(t *testing.T) (string, *cluseq.Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Save(f); err != nil {
+	if err := clf.SaveBundle(f, cluseq.BundleOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

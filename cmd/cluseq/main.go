@@ -32,30 +32,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cluseq", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		k           = fs.Int("k", 1, "initial number of clusters")
-		c           = fs.Int("c", 30, "significance threshold (occurrences before a context is trusted)")
-		t0          = fs.Float64("t", 1.5, "initial similarity threshold (per-symbol normalized)")
-		fixedT      = fs.Bool("fixed-t", false, "disable automatic threshold adjustment")
-		fixedC      = fs.Bool("fixed-c", false, "disable adaptive significance scaling (paper's exact behaviour)")
-		depth       = fs.Int("depth", 10, "maximum PST context depth (short-memory bound L)")
-		maxBytes    = fs.Int("pst-bytes", 0, "per-cluster PST memory cap in bytes (0 = unlimited)")
-		seed        = fs.Uint64("seed", 1, "random seed")
-		workers     = fs.Int("workers", 0, "similarity-scoring parallelism (0 = all CPUs, 1 = serial; results are identical either way)")
-		cacheOff    = fs.Bool("cache-off", false, "disable the cross-iteration similarity cache (re-score every pair each pass)")
-		snapshotOff = fs.Bool("snapshot-off", false, "disable compiled scoring snapshots (score by walking the live trees)")
-		verbose     = fs.Bool("v", false, "log per-iteration progress to stderr")
-		idsOnly     = fs.Bool("ids", false, "print only cluster member IDs, one cluster per line")
-		model       = fs.String("model", "", "write the trained cluster models to this file (for cmd/classify)")
-		bundleFmt   = fs.String("bundle-format", "v3", "model bundle format: v3 (mmap-able arena layout) or v2 (tree serialization)")
-		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile  = fs.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on exit")
-		traceOut    = fs.String("trace-out", "", "write phase spans and a final metrics snapshot as JSON Lines to this file")
+		k          = fs.Int("k", 1, "initial number of clusters")
+		c          = fs.Int("c", 30, "significance threshold (occurrences before a context is trusted)")
+		t0         = fs.Float64("t", 1.5, "initial similarity threshold (per-symbol normalized)")
+		fixedT     = fs.Bool("fixed-t", false, "disable automatic threshold adjustment")
+		fixedC     = fs.Bool("fixed-c", false, "disable adaptive significance scaling (paper's exact behaviour)")
+		depth      = fs.Int("depth", 10, "maximum PST context depth (short-memory bound L)")
+		maxBytes   = fs.Int("pst-bytes", 0, "per-cluster PST memory cap in bytes (0 = unlimited)")
+		seed       = fs.Uint64("seed", 1, "random seed")
+		workers    = fs.Int("workers", 0, "similarity-scoring parallelism (0 = all CPUs, 1 = serial; results are identical either way)")
+		cacheOff   = fs.Bool("cache-off", false, "disable the cross-iteration similarity cache (re-score every pair each pass)")
+		verbose    = fs.Bool("v", false, "log per-iteration progress to stderr")
+		idsOnly    = fs.Bool("ids", false, "print only cluster member IDs, one cluster per line")
+		model      = fs.String("model", "", "write the trained cluster models to this file (for cmd/classify)")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on exit")
+		traceOut   = fs.String("trace-out", "", "write phase spans and a final metrics snapshot as JSON Lines to this file")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *bundleFmt != "v2" && *bundleFmt != "v3" {
-		fmt.Fprintln(stderr, "cluseq: -bundle-format must be v2 or v3")
 		return 2
 	}
 
@@ -101,7 +95,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		Seed:                *seed,
 		Workers:             *workers,
 		CacheOff:            *cacheOff,
-		SnapshotOff:         *snapshotOff,
 		KeepTrees:           *model != "",
 	}
 	if *verbose {
@@ -141,7 +134,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *model != "" {
-		if err := saveModel(db, res, opts, *model, *bundleFmt); err != nil {
+		if err := saveModel(db, res, opts, *model); err != nil {
 			fmt.Fprintln(stderr, "cluseq:", err)
 			return 1
 		}
@@ -189,7 +182,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // saveModel writes the bundle atomically (temp file + rename): a serving
 // daemon may be memory-mapping the previous version of this file, and an
 // in-place rewrite would mutate pages under its readers.
-func saveModel(db *cluseq.Database, res *cluseq.Result, opts cluseq.Options, path, format string) error {
+func saveModel(db *cluseq.Database, res *cluseq.Result, opts cluseq.Options, path string) error {
 	clf, err := cluseq.NewClassifier(db, res, opts)
 	if err != nil {
 		return err
@@ -199,11 +192,7 @@ func saveModel(db *cluseq.Database, res *cluseq.Result, opts cluseq.Options, pat
 	if err != nil {
 		return err
 	}
-	if format == "v2" {
-		err = clf.Save(f)
-	} else {
-		err = clf.SaveBundle(f, cluseq.BundleOptions{})
-	}
+	err = clf.SaveBundle(f, cluseq.BundleOptions{})
 	if err == nil {
 		err = f.Close()
 	} else {

@@ -54,8 +54,8 @@ func trainBundle(t *testing.T, path string, seed uint64) {
 		t.Fatalf("no seed derived from %d produced a non-empty clustering", seed)
 	}
 	var buf bytes.Buffer
-	if err := clf.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := clf.SaveBundle(&buf, cluseq.BundleOptions{}); err != nil {
+		t.Fatalf("SaveBundle: %v", err)
 	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
@@ -286,7 +286,13 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("latency count = %d, want ≥ 4", metrics.Latency.Count)
 	}
 
-	// Graceful shutdown: SIGINT drains and run returns 0.
+	// Graceful shutdown: SIGINT drains and run returns 0. Close the
+	// client's idle keep-alive connections first: the four classify
+	// goroutines can leave a dialed but never used connection in the
+	// pool, which the server counts as new rather than idle until it is
+	// 5 s old — a race with the 5 s drain deadline. The drain is for
+	// requests in flight, and there are none.
+	http.DefaultClient.CloseIdleConnections()
 	sig <- os.Interrupt
 	select {
 	case code := <-done:

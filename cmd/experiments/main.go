@@ -11,8 +11,8 @@
 // similarity, figure6a, figure6b, figure6c, figure6d (default: all).
 //
 // -bench-recluster FILE is a standalone mode: it runs only the
-// reclustering benchmark (similarity cache on/off × scoring snapshots
-// on/off × worker counts) and writes the result as JSON to FILE
+// reclustering benchmark (similarity cache on/off × worker counts) and
+// writes the result as JSON to FILE
 // (conventionally BENCH_recluster.json), seeding the repository's perf
 // trajectory. -bench-similarity FILE does the same for the similarity
 // scan benchmark (tree scan vs compiled snapshot, conventionally

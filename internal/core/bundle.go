@@ -35,9 +35,8 @@ package core
 //
 // Every load-path validation failure names the section (or header
 // field) at fault and happens before any allocation proportional to a
-// declared size. v1/v2 bundles remain loadable through LoadClassifier's
-// conversion path; Save keeps writing v2 so older readers interoperate,
-// and SaveBundle writes v3.
+// declared size. SaveBundle writes v3 only; legacy v1/v2 bundles remain
+// loadable through LoadClassifier's conversion path.
 
 import (
 	"bufio"
@@ -92,16 +91,12 @@ type BundleOptions struct {
 	PublishedVersion uint64
 }
 
-// SaveBundle writes the classifier in bundle format v3. The output is
-// deterministic for a given classifier and options. The classifier
-// must carry a compiled snapshot per cluster (every constructor and
-// loader establishes this); WithTrees additionally requires live trees
-// (a v3 bundle loaded without trees cannot re-save WithTrees).
+// SaveBundle writes the classifier in bundle format v3, the only
+// format this package writes. The output is deterministic for a given
+// classifier and options. WithTrees requires live trees (a v3 bundle
+// loaded without trees cannot re-save WithTrees).
 func (c *Classifier) SaveBundle(w io.Writer, opts BundleOptions) error {
 	n := c.NumClusters()
-	if len(c.snaps) != n {
-		return fmt.Errorf("core: classifier has %d snapshots for %d clusters; cannot save v3", len(c.snaps), n)
-	}
 	type section struct {
 		kind, index uint32
 		data        []byte

@@ -154,19 +154,22 @@ func TestBundleV3SaveDeterministic(t *testing.T) {
 	}
 }
 
-// TestBundleV3VersusV2 is the differential gate: the same classifier
-// saved as v2 and as v3 must classify identically after loading.
+// TestBundleV3VersusV2 is the legacy-conversion gate: the v2 fixture
+// must load into exactly the classifier it was written from, and
+// re-saving that as v3 must classify identically after loading.
 func TestBundleV3VersusV2(t *testing.T) {
-	clf, probes := trainedClassifier(t, 0)
-	var v2 bytes.Buffer
-	if err := clf.Save(&v2); err != nil {
-		t.Fatal(err)
+	clf, v2 := v2Fixture(t)
+	rng := newTestRand(11)
+	probes := make([][]seq.Symbol, 40)
+	for i := range probes {
+		probes[i] = randomNoise(rng, 1+rng.IntN(60), 4)
 	}
-	fromV2, err := LoadClassifier(bytes.NewReader(v2.Bytes()))
+	fromV2, err := LoadClassifier(bytes.NewReader(v2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromV3, err := LoadClassifierBytes(saveV3(t, clf, BundleOptions{}), nil)
+	requireSameVerdicts(t, clf, fromV2, probes, "v2")
+	fromV3, err := LoadClassifierBytes(saveV3(t, fromV2, BundleOptions{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,12 @@ type Classifier struct {
 	// the snapshot arenas below.
 	trees []*pst.Tree
 	// snaps holds one compiled scoring snapshot per cluster (see
-	// pst.Snapshot). Classifier trees never mutate, so the snapshots
-	// compiled at construction stay valid for the classifier's lifetime
-	// and Classify scans flat arrays with no locks and no math.Log. For
-	// v3-loaded classifiers the snapshots are standalone views into the
-	// bundle bytes (zero-copy when those bytes are mmap'd).
+	// pst.Snapshot); every constructor and loader fills it. Classifier
+	// trees never mutate, so the snapshots compiled at construction stay
+	// valid for the classifier's lifetime and Classify scans flat arrays
+	// with no locks and no math.Log. For v3-loaded classifiers the
+	// snapshots are standalone views into the bundle bytes (zero-copy
+	// when those bytes are mmap'd).
 	snaps      []*pst.Snapshot
 	background []float64
 	logT       float64
@@ -158,22 +159,8 @@ func (c *Classifier) Classify(symbols []seq.Symbol) Assignment {
 		return out
 	}
 	bestIdx, bestNorm := -1, math.Inf(-1)
-	for i, n := 0, c.NumClusters(); i < n; i++ {
-		var snap *pst.Snapshot
-		if i < len(c.snaps) {
-			snap = c.snaps[i]
-		}
-		var sim pst.Similarity
-		if snap != nil && (len(c.trees) == 0 || snap.Standalone() || snap.Valid(c.trees[i])) {
-			// Standalone snapshots (loaded from a v3 bundle) have no tree
-			// to go stale against; compiled ones must still match theirs.
-			sim = snap.Similarity(symbols)
-		} else {
-			// No compiled snapshot (classifier assembled without the
-			// constructors); the tree scan is bit-identical, just slower.
-			sim = c.trees[i].SimilarityFast(symbols, c.background)
-		}
-		norm := sim.LogSim
+	for i, snap := range c.snaps {
+		norm := snap.Similarity(symbols).LogSim
 		if !c.raw {
 			norm /= float64(len(symbols))
 		}
@@ -208,7 +195,7 @@ func (c *Classifier) ClassifyString(raw string) (Assignment, error) {
 
 // NumClusters returns the number of clusters the classifier scores
 // against.
-func (c *Classifier) NumClusters() int { return max(len(c.trees), len(c.snaps)) }
+func (c *Classifier) NumClusters() int { return len(c.snaps) }
 
 // Alphabet returns the training alphabet, or nil for bundles saved
 // before format v2.
@@ -282,86 +269,28 @@ func (c *Classifier) Info() ModelInfo {
 	return info
 }
 
-// Bundle format magics. v2 adds the training alphabet between the header
-// and the background distribution; v1 bundles still load (with a nil
-// alphabet). Save always writes v2.
+// Legacy bundle format magics, accepted by LoadClassifier only: v2
+// carries the training alphabet between the header and the background
+// distribution, v1 does not. SaveBundle writes v3 (see bundle.go).
 var (
 	classifierMagicV1 = []byte("CLUSEQCLFv1\n")
-	classifierMagic   = []byte("CLUSEQCLFv2\n")
+	classifierMagicV2 = []byte("CLUSEQCLFv2\n")
 )
 
 // maxAlphabetBytes bounds the alphabet section: MaxAlphabetSize runes of
 // at most 4 UTF-8 bytes each.
 const maxAlphabetBytes = 4 * seqMaxAlphabet
 
-// Save writes the classifier — every cluster tree, the training
-// alphabet, the background distribution, and the similarity threshold —
-// as one binary stream, so a clustering can be trained once and reused
-// for classification without the original database. The output is
-// deterministic: saving the same classifier twice yields identical bytes.
-func (c *Classifier) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(classifierMagic); err != nil {
-		return err
-	}
-	hdr := []any{
-		int64(len(c.trees)), int64(len(c.background)), c.logT, boolByte(c.raw),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	var alphaBytes []byte
-	if c.alphabet != nil {
-		alphaBytes = []byte(c.alphabet.String())
-	}
-	if err := binary.Write(bw, binary.LittleEndian, int64(len(alphaBytes))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(alphaBytes); err != nil {
-		return err
-	}
-	for _, v := range c.background {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	// Trees are length-prefixed: pst.Load buffers its reader, so each
-	// tree must arrive as an exactly-bounded segment.
-	var tmp bytes.Buffer
-	for _, tree := range c.trees {
-		tmp.Reset()
-		if err := tree.Save(&tmp); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, int64(tmp.Len())); err != nil {
-			return err
-		}
-		if _, err := bw.Write(tmp.Bytes()); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// LoadClassifier reads a bundle previously written by Save or
-// SaveBundle: format v3 (routed through LoadClassifierBytes on an
-// in-memory copy — callers that want zero-copy should mmap and call
-// LoadClassifierBytes directly), v2, and the older v1 (no alphabet
-// section) are all accepted. Corrupt or truncated bundles fail with an
+// LoadClassifier reads a model bundle: format v3 as SaveBundle writes
+// it (routed through LoadClassifierBytes on an in-memory copy — callers
+// that want zero-copy should mmap and call LoadClassifierBytes
+// directly), and the legacy v2 and v1 (no alphabet section) formats of
+// earlier versions, converted on load. Corrupt or truncated bundles fail with an
 // error naming the offending section; no error causes an allocation
 // proportional to a corrupt size field.
 func LoadClassifier(r io.Reader) (*Classifier, error) {
 	br := bufio.NewReader(r)
-	got := make([]byte, len(classifierMagic))
+	got := make([]byte, len(classifierMagicV2))
 	if _, err := io.ReadFull(br, got); err != nil {
 		return nil, fmt.Errorf("core: reading classifier magic: %w", err)
 	}
@@ -373,7 +302,7 @@ func LoadClassifier(r io.Reader) (*Classifier, error) {
 			return nil, fmt.Errorf("core: reading v3 bundle: %w", err)
 		}
 		return LoadClassifierBytes(append(got, rest...), nil)
-	case bytes.Equal(got, classifierMagic):
+	case bytes.Equal(got, classifierMagicV2):
 		hasAlphabet = true
 	case bytes.Equal(got, classifierMagicV1):
 		hasAlphabet = false

@@ -145,13 +145,6 @@ type Config struct {
 	// them — so this switch exists for benchmarking the cache's effect,
 	// not for correctness.
 	CacheOff bool
-	// SnapshotOff disables the compiled scoring snapshots (see
-	// pst.Snapshot): every similarity is evaluated by walking the live
-	// tree instead of the flat compiled arrays. Snapshots are exact —
-	// compiled per tree version and bit-identical to the tree scans by
-	// contract — so, like CacheOff, this switch exists for benchmarking
-	// the optimization's effect, not for correctness.
-	SnapshotOff bool
 	// KeepTrees attaches each final cluster's probabilistic suffix tree
 	// to its ClusterInfo, so callers can classify new sequences against
 	// the discovered clusters (tree.Similarity) or persist the models
@@ -278,7 +271,7 @@ type IterationTrace struct {
 	Unclustered     int
 	// CacheHits counts (sequence, cluster) pairs whose similarity was
 	// reused from an earlier iteration because the cluster's tree had
-	// not changed; CacheMisses counts the SimilarityFast evaluations the
+	// not changed; CacheMisses counts the similarity evaluations the
 	// pass actually performed (scoring phase plus apply-phase re-scores
 	// after intra-pass tree inserts). Hits + misses can fall short of
 	// sequences × clusters: empty sequences are skipped.

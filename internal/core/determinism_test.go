@@ -118,58 +118,10 @@ func TestClusterCacheCorrectness(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotCorrectness pins the pst.Snapshot contract at the
-// engine level: scoring through compiled snapshots must yield results
-// structurally identical to scoring through the live trees — across
-// serial and parallel runs, since snapshot compilation changes where
-// the scoring work happens (flat arrays vs pointer walks) but never its
-// values.
-func TestClusterSnapshotCorrectness(t *testing.T) {
-	db := determinismDB(t, 11)
-	for name, cfg := range determinismConfigs() {
-		t.Run(name, func(t *testing.T) {
-			var results []*Result
-			for _, workers := range []int{1, 8} {
-				for _, snapshotOff := range []bool{false, true} {
-					c := cfg
-					c.Workers = workers
-					c.SnapshotOff = snapshotOff
-					r, err := Cluster(db, c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					results = append(results, r)
-				}
-			}
-			if len(results[0].Clusters) == 0 {
-				t.Fatal("no clusters found; the snapshot check would be vacuous")
-			}
-			// SnapshotCompiles records how scoring was executed (zero when
-			// snapshots are off), not what it computed; exclude it like the
-			// cache counters in the cache test.
-			for _, r := range results {
-				stripSnapshotCounters(r)
-			}
-			for i, r := range results[1:] {
-				if !reflect.DeepEqual(results[0], r) {
-					t.Errorf("snapshot/worker variant %d disagrees with baseline:\nbase:    %+v\nvariant: %+v",
-						i+1, summary(results[0]), summary(r))
-				}
-			}
-		})
-	}
-}
-
 func stripCacheCounters(r *Result) {
 	for i := range r.Trace {
 		r.Trace[i].CacheHits = 0
 		r.Trace[i].CacheMisses = 0
-	}
-}
-
-func stripSnapshotCounters(r *Result) {
-	for i := range r.Trace {
-		r.Trace[i].SnapshotCompiles = 0
 	}
 }
 

@@ -29,8 +29,11 @@ type cluster struct {
 	// snap is the compiled scoring snapshot of tree (see pst.Snapshot),
 	// refreshed by ensureSnapshot whenever the tree version moves. It is
 	// compiled serially before each parallel fan-out and read-only
-	// inside, so workers scan flat arrays with no locks. Nil when
-	// Config.SnapshotOff.
+	// inside, so workers scan flat arrays with no locks. Every score goes
+	// through snap.Score, which falls back to the tree scan while the
+	// snapshot is stale: in the apply phase a join bumps the version and
+	// later sequences are re-scored against the mutated tree, where
+	// recompiling per join would cost more than the scans it saves.
 	snap *pst.Snapshot
 	// obsPruned/obsPruneEvents are the portions of the tree's cumulative
 	// prune counters already folded into the run metrics (see
@@ -309,7 +312,7 @@ func (e *engine) refine() {
 			e.ensureSnapshot(c)
 			e.forEachWorker(len(members), func(i int) {
 				s := e.db.Sequences[members[i]]
-				sim := e.clusterSim(c, s.Symbols)
+				sim := c.snap.Score(c.tree, s.Symbols, e.background)
 				segs[i] = [2]int{sim.Start, sim.End}
 			})
 			for i, m := range members {
@@ -378,7 +381,8 @@ func (e *engine) primaryAssignment() []int {
 		s := e.db.Sequences[si]
 		best, bestSim := clusters[0], math.Inf(-1)
 		for _, ci := range clusters {
-			sim := e.normalizedLogSim(e.clusterSim(e.clusters[ci], s.Symbols), len(s.Symbols))
+			c := e.clusters[ci]
+			sim := e.normalizedLogSim(c.snap.Score(c.tree, s.Symbols, e.background), len(s.Symbols))
 			if sim > bestSim {
 				bestSim = sim
 				best = ci
@@ -458,7 +462,7 @@ func (e *engine) generateClusters(kn int) int {
 	e.forEachWorker(m, func(i int) {
 		syms := e.db.Sequences[sample[i]].Symbols
 		for _, c := range e.clusters {
-			s := e.normalizedLogSim(e.clusterSim(c, syms), len(syms))
+			s := e.normalizedLogSim(c.snap.Score(c.tree, syms, e.background), len(syms))
 			if s > maxSim[i] {
 				maxSim[i] = s
 			}
@@ -499,7 +503,7 @@ func (e *engine) generateClusters(kn int) int {
 				continue
 			}
 			syms := e.db.Sequences[sample[i]].Symbols
-			s := e.normalizedLogSim(e.clusterSim(c, syms), len(syms))
+			s := e.normalizedLogSim(c.snap.Score(c.tree, syms, e.background), len(syms))
 			if s > maxSim[i] {
 				maxSim[i] = s
 			}
@@ -515,10 +519,6 @@ func (e *engine) generateClusters(kn int) int {
 //
 //cluseq:deterministic
 func (e *engine) ensureSnapshot(c *cluster) {
-	if e.cfg.SnapshotOff {
-		c.snap = nil
-		return
-	}
 	if !c.snap.Valid(c.tree) {
 		start := time.Now() //cluseq:allow determinism: timestamp feeds the compile-seconds histogram only, never the clustering state
 		c.snap = c.tree.CompileSnapshot(e.background)
@@ -536,20 +536,6 @@ func (e *engine) ensureSnapshots() {
 	for _, c := range e.clusters {
 		e.ensureSnapshot(c)
 	}
-}
-
-// clusterSim scores syms against cluster c: through the compiled
-// snapshot when it is current, else through the tree's own scan (the
-// mid-apply path, where a join just bumped the version — recompiling
-// per mutation would cost more than the pointer walk it saves). Both
-// produce bit-identical results by the snapshot contract.
-//
-//cluseq:deterministic
-func (e *engine) clusterSim(c *cluster, syms []seq.Symbol) pst.Similarity {
-	if c.snap.Valid(c.tree) {
-		return c.snap.Similarity(syms)
-	}
-	return c.tree.SimilarityFast(syms, e.background)
 }
 
 // normalizedLogSim converts a similarity to the per-symbol log scale the
@@ -612,7 +598,7 @@ func (e *engine) scoreClusters() {
 func (e *engine) cachedSim(c *cluster, si int, syms []seq.Symbol, countHit bool) pst.Similarity {
 	ent := &c.cache[si]
 	if v := c.tree.Version(); ent.version != v {
-		ent.sim = e.clusterSim(c, syms)
+		ent.sim = c.snap.Score(c.tree, syms, e.background)
 		ent.version = v
 		e.cacheMisses.Add(1)
 	} else if countHit {

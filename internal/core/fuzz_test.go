@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"cluseq/internal/pst"
@@ -13,13 +12,15 @@ import (
 // ways:
 //
 //   - forward: a classifier assembled from arbitrary insert streams must
-//     survive Save→Load→Save with byte-identical output (the property
-//     the registry's fingerprint-based hot reload relies on), and the
-//     loaded copy must classify identically;
-//   - backward: Load on an arbitrarily mutated bundle must return an
-//     error or a valid classifier — never panic, and never allocate
+//     survive SaveBundle→Load→SaveBundle with byte-identical output (the
+//     property the registry's fingerprint-based hot reload relies on),
+//     and the loaded copy must classify identically;
+//   - backward: LoadClassifier on an arbitrarily mutated or truncated
+//     bundle — the fresh v3 one and the legacy v2 fixture — must return
+//     an error or a valid classifier: never panic, and never allocate
 //     proportionally to a corrupt size field.
 func FuzzClassifierBundle(f *testing.F) {
+	_, v2 := v2Fixture(f)
 	f.Add([]byte("abcabcabcabc"), []byte("dddddddd"), uint8(4), uint16(0), byte(0))
 	f.Add([]byte{0, 1, 2, 3, 0xFF, 3, 2, 1, 0}, []byte{1, 1, 2, 2}, uint8(6), uint16(77), byte(0x10))
 	f.Add([]byte{7, 7, 7}, []byte{}, uint8(2), uint16(2000), byte(0xFF))
@@ -49,27 +50,25 @@ func FuzzClassifierBundle(f *testing.F) {
 		for i := range bg {
 			bg[i] = 1 / float64(n)
 		}
-		clf := &Classifier{
-			trees:      []*pst.Tree{treeA, treeB},
-			background: bg,
-			logT:       math.Log(1.1),
-			alphabet:   alphabet,
+		clf, err := NewClassifierFromParts([]*pst.Tree{treeA, treeB}, alphabet, bg, 1.1, false)
+		if err != nil {
+			t.Fatal(err)
 		}
 
 		var b1 bytes.Buffer
-		if err := clf.Save(&b1); err != nil {
-			t.Fatalf("Save: %v", err)
+		if err := clf.SaveBundle(&b1, BundleOptions{}); err != nil {
+			t.Fatalf("SaveBundle: %v", err)
 		}
-		loaded, err := LoadClassifier(bytes.NewReader(b1.Bytes()))
+		loaded, err := LoadClassifierBytes(b1.Bytes(), nil)
 		if err != nil {
 			t.Fatalf("Load of a freshly saved bundle: %v", err)
 		}
 		var b2 bytes.Buffer
-		if err := loaded.Save(&b2); err != nil {
-			t.Fatalf("Save after Load: %v", err)
+		if err := loaded.SaveBundle(&b2, BundleOptions{}); err != nil {
+			t.Fatalf("SaveBundle after Load: %v", err)
 		}
 		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Fatalf("Save→Load→Save not byte-identical (%d vs %d bytes)", b1.Len(), b2.Len())
+			t.Fatalf("SaveBundle→Load→SaveBundle not byte-identical (%d vs %d bytes)", b1.Len(), b2.Len())
 		}
 		probe := make([]seq.Symbol, 0, len(streamA))
 		for _, b := range streamA {
@@ -81,8 +80,7 @@ func FuzzClassifierBundle(f *testing.F) {
 		}
 
 		// Mutate one byte (and also truncate) — Load must never panic.
-		data := b1.Bytes()
-		if len(data) > 0 {
+		for _, data := range [][]byte{b1.Bytes(), v2} {
 			pos := int(mutPos) % len(data)
 			mutated := append([]byte(nil), data...)
 			mutated[pos] ^= mutXor

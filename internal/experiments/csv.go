@@ -140,15 +140,11 @@ func (r *ReclusterBench) Table() (string, []string, [][]string) {
 		if row.CacheOff {
 			cache = "off"
 		}
-		snapshot := "on"
-		if row.SnapshotOff {
-			snapshot = "off"
-		}
-		rows[i] = []string{itoa(row.Workers), cache, snapshot, itoa(row.Iterations),
+		rows[i] = []string{itoa(row.Workers), cache, itoa(row.Iterations),
 			itoa(row.CacheHits), itoa(row.CacheMisses), pct(row.Accuracy), secs(row.Elapsed)}
 	}
-	return fmt.Sprintf("Recluster benchmark: similarity cache × snapshots × workers (scale=%s)", r.Scale),
-		[]string{"workers", "cache", "snapshot", "iterations", "cache_hits", "cache_misses", "accuracy", "time"}, rows
+	return fmt.Sprintf("Recluster benchmark: similarity cache × workers (scale=%s)", r.Scale),
+		[]string{"workers", "cache", "iterations", "cache_hits", "cache_misses", "accuracy", "time"}, rows
 }
 
 // Table returns the similarity benchmark contents.

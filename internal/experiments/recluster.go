@@ -7,9 +7,8 @@ import (
 )
 
 // ReclusterBench measures the two-phase reclustering engine on the
-// synthetic workload: similarity cache on/off × compiled scoring
-// snapshots on/off × worker counts, with the per-run cache hit/miss
-// totals. It seeds the repo's performance trajectory — cmd/experiments
+// synthetic workload: similarity cache on/off × worker counts, with the
+// per-run cache hit/miss totals. It seeds the repo's performance trajectory — cmd/experiments
 // serializes it to BENCH_recluster.json so successive PRs can diff the
 // numbers.
 type ReclusterBench struct {
@@ -21,7 +20,6 @@ type ReclusterBench struct {
 type ReclusterBenchRow struct {
 	Workers     int
 	CacheOff    bool
-	SnapshotOff bool
 	Iterations  int
 	CacheHits   int
 	CacheMisses int
@@ -35,11 +33,10 @@ func (r *ReclusterBench) String() string { return render(r) }
 // with the cache switch.
 var reclusterBenchWorkers = []int{1, 4}
 
-// RunReclusterBench runs the cache × snapshots × workers grid. Every
-// cell clusters the same database with the same seed, so memberships
-// and thresholds are identical across the grid (asserted by the
-// determinism, cache-correctness, and snapshot-correctness tests); only
-// time and cache traffic may differ.
+// RunReclusterBench runs the cache × workers grid. Every cell clusters
+// the same database with the same seed, so memberships and thresholds
+// are identical across the grid (asserted by the determinism and
+// cache-correctness tests); only time and cache traffic may differ.
 func RunReclusterBench(sc Scale, seed uint64) (*ReclusterBench, error) {
 	db, err := datagen.SyntheticDB(syntheticConfig(sc, seed))
 	if err != nil {
@@ -48,29 +45,25 @@ func RunReclusterBench(sc Scale, seed uint64) (*ReclusterBench, error) {
 	out := &ReclusterBench{Scale: sc}
 	for _, workers := range reclusterBenchWorkers {
 		for _, cacheOff := range []bool{false, true} {
-			for _, snapshotOff := range []bool{false, true} {
-				cfg := cluseqConfig(sc, seed)
-				cfg.Workers = workers
-				cfg.CacheOff = cacheOff
-				cfg.SnapshotOff = snapshotOff
-				res, rep, elapsed, err := runCLUSEQ(db, cfg)
-				if err != nil {
-					return nil, err
-				}
-				row := ReclusterBenchRow{
-					Workers:     workers,
-					CacheOff:    cacheOff,
-					SnapshotOff: snapshotOff,
-					Iterations:  res.Iterations,
-					Accuracy:    rep.Accuracy,
-					Elapsed:     elapsed,
-				}
-				for _, tr := range res.Trace {
-					row.CacheHits += tr.CacheHits
-					row.CacheMisses += tr.CacheMisses
-				}
-				out.Rows = append(out.Rows, row)
+			cfg := cluseqConfig(sc, seed)
+			cfg.Workers = workers
+			cfg.CacheOff = cacheOff
+			res, rep, elapsed, err := runCLUSEQ(db, cfg)
+			if err != nil {
+				return nil, err
 			}
+			row := ReclusterBenchRow{
+				Workers:    workers,
+				CacheOff:   cacheOff,
+				Iterations: res.Iterations,
+				Accuracy:   rep.Accuracy,
+				Elapsed:    elapsed,
+			}
+			for _, tr := range res.Trace {
+				row.CacheHits += tr.CacheHits
+				row.CacheMisses += tr.CacheMisses
+			}
+			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out, nil

@@ -10,8 +10,9 @@ import (
 )
 
 // SimilarityBench measures the §4.3 similarity scan head-to-head: the
-// pointer-walking Tree.SimilarityFast against the compiled
-// pst.Snapshot, across alphabet sizes and probe lengths.
+// pointer-walking Tree.Similarity — the oracle and the stale-tree
+// fallback — against the compiled pst.Snapshot, across alphabet sizes
+// and probe lengths.
 // cmd/experiments serializes it to BENCH_similarity.json so successive
 // PRs can diff the hot loop's cost directly, without the clustering
 // dynamics around it.
@@ -88,14 +89,14 @@ func RunSimilarityBench(sc Scale, seed uint64) (*SimilarityBench, error) {
 
 		// Warm both paths once (ln(background) memo, caches), then time.
 		for _, p := range probes {
-			if tree.SimilarityFast(p, bg) != snap.Similarity(p) {
+			if tree.Similarity(p, bg) != snap.Similarity(p) {
 				panic("experiments: snapshot disagrees with tree scan") // contract violation
 			}
 		}
 		start := time.Now()
 		for r := 0; r < reps; r++ {
 			for _, p := range probes {
-				tree.SimilarityFast(p, bg)
+				tree.Similarity(p, bg)
 			}
 		}
 		treeTotal := time.Since(start)

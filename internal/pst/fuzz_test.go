@@ -16,8 +16,8 @@ import (
 //     occurrences, which have no successor symbol);
 //   - Predict returns values in (0, 1] for arbitrary contexts once
 //     PMin smoothing is on, and its per-context sum never exceeds 1;
-//   - the auxiliary-link fast scan agrees with the plain similarity
-//     scan on arbitrary probes;
+//   - the compiled snapshot scan agrees bit for bit with the tree scan
+//     on arbitrary probes, including trees the memory cap pruned;
 //
 // and, implicitly, that no insert stream — including ones that trip the
 // memory cap and its pruning — panics.
@@ -96,9 +96,8 @@ func FuzzPSTInsertPredict(f *testing.F) {
 				bg[i] = 1 / float64(n)
 			}
 			slow := tree.Similarity(ctx, bg)
-			fast := tree.SimilarityFast(ctx, bg)
-			if math.Abs(slow.LogSim-fast.LogSim) > eps || slow.Start != fast.Start || slow.End != fast.End {
-				t.Fatalf("SimilarityFast %+v disagrees with Similarity %+v", fast, slow)
+			if comp := tree.CompileSnapshot(bg).Similarity(ctx); comp != slow {
+				t.Fatalf("Snapshot %+v disagrees with Similarity %+v", comp, slow)
 			}
 		}
 	})

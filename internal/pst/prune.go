@@ -121,7 +121,6 @@ func (t *Tree) pruneTo(target int) {
 		it := heap.Pop(h).(pruneItem)
 		n := it.n
 		parent := n.parent
-		t.dropLinks(n)
 		delete(parent.children, n.symbol)
 		n.parent = nil
 		t.numNodes--

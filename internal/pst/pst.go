@@ -144,11 +144,6 @@ type Node struct {
 	symbol   seq.Symbol // edge symbol from parent (one more context symbol back in time)
 	depth    int
 
-	// Auxiliary links for the O(l) similarity scan (see fastscan.go).
-	slink *Node                // context minus its most recent symbol
-	ext   map[seq.Symbol]*Node // inverse of slink, per prepended symbol
-	first seq.Symbol           // the context's most recent symbol (root edge)
-
 	// Count is the number of occurrences of this node's context.
 	Count int64
 	// next[s] counts occurrences of the context immediately followed by s.
@@ -176,8 +171,8 @@ func (n *Node) NextCount(s seq.Symbol) int64 { return n.next[s] }
 // # Concurrency
 //
 // A Tree is not safe for concurrent mutation. The read-only methods —
-// Similarity, SimilarityFast, Predict, PredictionNode, Lookup, Walk,
-// Stats, Version, and friends — may be called from any number of
+// Similarity, Predict, PredictionNode, Lookup, Walk, Stats, Version,
+// and friends — may be called from any number of
 // goroutines simultaneously, provided no mutating method (Insert,
 // InsertCounts, Merge, Prune) runs concurrently with them. This
 // read-only contract is what the clustering engine's parallel scoring
@@ -206,10 +201,6 @@ type Tree struct {
 	pruned      int64 // nodes evicted so far
 	pruneEvents int64 // pruneTo passes run so far (§5.1 cap firings)
 
-	// linksValid reports whether the auxiliary links of fastscan.go are
-	// complete; pruning and out-of-order construction clear it.
-	linksValid bool
-
 	// Cached ln(background) for the similarity scans, keyed by the
 	// background slice identity and published atomically so concurrent
 	// scoring workers never serialize on it (see logBackground).
@@ -223,10 +214,9 @@ func New(cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{
-		cfg:        cfg,
-		root:       &Node{next: make([]int64, cfg.AlphabetSize)},
-		version:    1,
-		linksValid: true,
+		cfg:     cfg,
+		root:    &Node{next: make([]int64, cfg.AlphabetSize)},
+		version: 1,
 	}
 	t.numNodes = 1
 	// Estimated footprint of one node: struct header and bookkeeping
@@ -289,8 +279,8 @@ func (t *Tree) TotalSymbols() int64 { return t.insertions }
 
 // lookupChild returns n's child along edge symbol s, or nil. It is
 // read-only and therefore safe on the frozen trees of the parallel
-// scoring phase; every read-side walk (estimation, lookup, fast scan)
-// goes through it.
+// scoring phase; every read-side walk (estimation, lookup) goes through
+// it.
 //
 //cluseq:hotpath
 func (t *Tree) lookupChild(n *Node, s seq.Symbol) *Node {
@@ -318,9 +308,6 @@ func (t *Tree) ensureChild(n *Node, s seq.Symbol) *Node {
 	}
 	n.children[s] = c
 	t.numNodes++
-	if t.linksValid {
-		t.attachLinks(c, n, s)
-	}
 	return c
 }
 

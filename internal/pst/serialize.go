@@ -186,27 +186,7 @@ func Load(r io.Reader) (*Tree, error) {
 	}
 	t.root = root
 	t.numNodes = int(numNodes)
-	t.rebuildLinks()
 	return t, nil
-}
-
-// rebuildLinks re-derives the auxiliary links of fastscan.go after
-// deserialization. BFS order guarantees a node's suffix link is wired
-// before its children need it.
-func (t *Tree) rebuildLinks() {
-	t.linksValid = true
-	queue := []*Node{t.root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for s, c := range n.children {
-			t.attachLinks(c, n, s)
-			if !t.linksValid {
-				return // tree was pruned before saving; fast scan disabled
-			}
-			queue = append(queue, c)
-		}
-	}
 }
 
 // maxLoadNodes bounds the node count a header may declare; anything

@@ -84,11 +84,6 @@ func TestShrinkageSimilarityConsistent(t *testing.T) {
 	if math.Abs(got.LogSim-want) > 1e-9 {
 		t.Fatalf("shrinkage similarity %v, brute force %v", got.LogSim, want)
 	}
-	// SimilarityFast must fall back and agree too.
-	fast := tr.SimilarityFast(probe, bg)
-	if fast.LogSim != got.LogSim {
-		t.Fatalf("fast scan with shrinkage %v != %v", fast.LogSim, got.LogSim)
-	}
 }
 
 func TestSimilaritySeq(t *testing.T) {

@@ -39,7 +39,10 @@ func (s Similarity) Exceeds(t float64) bool {
 // Similarity computes SIM via the §4.3 dynamic program in a single scan.
 // background holds the memoryless symbol probabilities p(s) of the whole
 // database (seq.Database.SymbolFrequencies); its length must equal the
-// alphabet size.
+// alphabet size. The slice must not be mutated after it is passed: the
+// tree memoizes ln(background) keyed by the slice's address (see
+// logBackground), so a distribution rewritten in place would keep
+// scoring with the old logarithms. Pass a fresh slice instead.
 //
 // Per-position ratios X_i = P_S(s_i | s_1…s_{i−1})/p(s_i) use the
 // prediction-node lookup of §3, so the effective context is the longest

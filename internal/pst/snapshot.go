@@ -15,10 +15,11 @@ import (
 // Tree pays per scored symbol for work that is invariant while the tree
 // is frozen:
 //
-//   - the Weiner-link extension / parent-climb loop of SimilarityFast
-//     becomes one transition step: a table load for nodes whose
-//     extension row is dense, a binary search over a sorted CSR row
-//     with parent fallback for the (typically long) sparse tail,
+//   - locating the deepest node matching the current context — up to
+//     L child-map lookups per symbol in Tree.Similarity — becomes one
+//     transition step: a table load for nodes whose extension row is
+//     dense, a binary search over a sorted CSR row with parent
+//     fallback for the (typically long) sparse tail,
 //   - the climb to the deepest significant ancestor becomes a
 //     precomputed per-node row index, and
 //   - the per-symbol probability adjustment (§5.2 PMin), the math.Log
@@ -43,8 +44,8 @@ import (
 // without paying numNodes·n table bytes for the sparse tail.
 //
 // The compilation is exact, not approximate: Similarity returns results
-// bit-identical to Tree.SimilarityFast and Tree.Similarity (same
-// LogSim, Start, End, in every estimation mode). Two facts make the
+// bit-identical to Tree.Similarity (same LogSim, Start, End, in every
+// estimation mode). Two facts make the
 // node-level precomputation sound:
 //
 //   - a node's occurrence count never exceeds its parent's (a context's
@@ -75,10 +76,12 @@ import (
 //
 // A Snapshot never observes later tree mutations: it copies everything
 // it needs at compile time (the delegating shrinkage path relies on the
-// caller's freeze discipline, exactly as SimilarityFast always has).
-// Callers detect staleness with Valid, which compares the tree identity
-// and Version stamp — the same invalidation rule the clustering
-// engine's similarity cache uses. A snapshot reconstructed from a
+// caller's freeze discipline, exactly as Tree.Similarity's concurrent
+// readers do). Callers detect staleness with Valid, which compares the
+// tree identity and Version stamp — the same invalidation rule the
+// clustering engine's similarity cache uses — and score live trees
+// through Score, which falls back to Tree.Similarity once the snapshot
+// is stale. A snapshot reconstructed from a
 // serialized arena (SnapshotFromArena) has no tree at all — see
 // Standalone.
 //
@@ -90,7 +93,7 @@ type Snapshot struct {
 
 	// delegate: shrinkage-mode estimation cannot be compiled per node;
 	// Similarity falls through to tree.Similarity (bit-identical by
-	// construction, since that is also SimilarityFast's fallback).
+	// construction: it is the same scan).
 	delegate bool
 
 	// descend: the tree is not slink-closed (pruning evicted interior
@@ -152,6 +155,12 @@ var denseAllLimit = 1 << 20
 // Similarity; its length must equal the alphabet size). The tree must
 // not be mutated during compilation; afterwards the Snapshot is
 // independent of further tree changes (and Valid reports them).
+//
+// The background slice must not be mutated after it is passed: the
+// snapshot keeps it (see Background), and the tree's ln(background)
+// memo is keyed by the slice's address, so rewriting it in place would
+// compile — and score — against the old values. Pass a fresh slice for
+// a new distribution.
 func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 	n := t.cfg.AlphabetSize
 	if len(background) != n {
@@ -262,10 +271,8 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 		}
 	}
 
-	// Suffix links, recomputed from structure alone (so pruned and
-	// deserialized trees — whose in-tree fastscan links are invalid —
-	// compile just as well): sl[x] is the node for x's context minus its
-	// most recent symbol, via the same recurrence attachLinks uses,
+	// Suffix links, computed from structure alone: sl[x] is the node
+	// for x's context minus its most recent symbol, by the recurrence
 	// sl[x] = child(sl[parent[x]], edge[x]).
 	//
 	// The links double as the slink-closure check. Every depth ≥ 1 node
@@ -275,8 +282,7 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 	// interior suffix context: the deepest match then depends on history
 	// beyond the current automaton state and no per-node transition
 	// table is exact, so the snapshot keeps the child arrays and scans
-	// by bounded descent instead (mirroring how SimilarityFast abandons
-	// its links after pruning).
+	// by bounded descent instead.
 	sl := make([]int32, num)
 	closed := true
 	for i := 1; i < num && closed; i++ {
@@ -479,6 +485,22 @@ func (s *Snapshot) Valid(t *Tree) bool {
 	return s != nil && s.tree == t && s.version == t.Version()
 }
 
+// Score is the one rule for scoring a live tree: SIM_S(symbols) against
+// t through the snapshot while it is Valid for t, else through
+// t.Similarity — when s is nil, was compiled from another tree, or went
+// stale because t mutated since. Both paths are bit-identical, so
+// callers decide only when to compile (serially, before a parallel
+// fan-out), never how to score. background must be the distribution s
+// was compiled with.
+//
+//cluseq:hotpath
+func (s *Snapshot) Score(t *Tree, symbols []seq.Symbol, background []float64) Similarity {
+	if s.Valid(t) {
+		return s.Similarity(symbols)
+	}
+	return t.Similarity(symbols, background)
+}
+
 // child returns the compiled index of cur's child along edge symbol sym,
 // or −1 — the descent-mode equivalent of the tree's child-map lookup.
 //
@@ -565,9 +587,9 @@ func (s *Snapshot) stepCSR(tr uint32, cur int32, sym seq.Symbol) int32 {
 	}
 }
 
-// Similarity computes SIM_S(σ) exactly as Tree.Similarity and
-// Tree.SimilarityFast do — same dynamic program, bit-identical result —
-// against the background distribution the snapshot was compiled with.
+// Similarity computes SIM_S(σ) exactly as Tree.Similarity does — same
+// dynamic program, bit-identical result — against the background
+// distribution the snapshot was compiled with.
 // It performs no locking, no logarithms, and no allocation; each scored
 // symbol costs one table load for the score and one transition step.
 //

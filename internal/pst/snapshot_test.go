@@ -8,16 +8,12 @@ import (
 	"cluseq/internal/seq"
 )
 
-// requireIdentical asserts the three scan implementations agree
-// bit-for-bit — the defining property of the compiled snapshot.
+// requireIdentical asserts the compiled scan agrees bit-for-bit with
+// the tree scan — the defining property of the snapshot.
 func requireIdentical(t *testing.T, tree *Tree, snap *Snapshot, probe []seq.Symbol, bg []float64) {
 	t.Helper()
 	slow := tree.Similarity(probe, bg)
-	fast := tree.SimilarityFast(probe, bg)
 	comp := snap.Similarity(probe)
-	if slow != fast {
-		t.Fatalf("SimilarityFast %+v != Similarity %+v (probe %v)", fast, slow, probe)
-	}
 	if comp != slow {
 		t.Fatalf("Snapshot %+v != Similarity %+v (probe %v)", comp, slow, probe)
 	}
@@ -87,16 +83,16 @@ func TestSnapshotMatchesTreeRandom(t *testing.T) {
 	}
 }
 
-// TestSnapshotPrunedTree compiles from a pruned tree, whose fastscan
-// links are invalid: the snapshot rebuilds transitions from structure
-// alone and must still match the (fallen-back) tree scans exactly.
+// TestSnapshotPrunedTree compiles from a pruned tree, which need not be
+// suffix-closed any more: the snapshot must still match the tree scan
+// exactly.
 func TestSnapshotPrunedTree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 44))
 	tree := MustNew(Config{AlphabetSize: 4, MaxDepth: 5, Significance: 2, PMin: 0.01})
 	tree.Insert(randomSymbols(rng, 400, 4))
 	tree.Prune(tree.NumNodes() / 2)
-	if tree.linksValid {
-		t.Fatal("pruning must invalidate the auxiliary links")
+	if tree.PrunedNodes() == 0 {
+		t.Fatal("Prune evicted nothing")
 	}
 	bg := uniformBg(4)
 	snap := tree.CompileSnapshot(bg)
@@ -179,6 +175,84 @@ func TestSnapshotValidTracksVersion(t *testing.T) {
 	}
 }
 
+// TestSnapshotScore pins the one scoring rule for live trees: whatever
+// state the snapshot is in — missing, stale after an Insert, compiled
+// from another tree, or valid — Score returns Tree.Similarity's exact
+// bits for the tree it is given.
+func TestSnapshotScore(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 52))
+	cfg := Config{AlphabetSize: 4, MaxDepth: 4, Significance: 2, PMin: 0.01}
+	bg := uniformBg(4)
+	grown := func() *Tree {
+		tree := MustNew(cfg)
+		tree.Insert(randomSymbols(rng, 200, 4))
+		return tree
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func() (*Snapshot, *Tree)
+		// fallback: the snapshot itself answers for some other tree
+		// state, so Score must not use it.
+		fallback bool
+	}{
+		{"nil snapshot", func() (*Snapshot, *Tree) { return nil, grown() }, false},
+		{"stale after Insert", func() (*Snapshot, *Tree) {
+			tree := grown()
+			snap := tree.CompileSnapshot(bg)
+			tree.Insert(randomSymbols(rng, 200, 4))
+			return snap, tree
+		}, true},
+		{"another tree", func() (*Snapshot, *Tree) { return grown().CompileSnapshot(bg), grown() }, true},
+		{"valid", func() (*Snapshot, *Tree) {
+			tree := grown()
+			return tree.CompileSnapshot(bg), tree
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, tree := tc.setup()
+			differs := false
+			for probe := 0; probe < 20; probe++ {
+				p := randomSymbols(rng, 1+rng.IntN(80), 4)
+				want := tree.Similarity(p, bg)
+				if got := snap.Score(tree, p, bg); got != want {
+					t.Fatalf("Score %+v != Tree.Similarity %+v (probe %v)", got, want, p)
+				}
+				differs = differs || (snap != nil && snap.Similarity(p) != want)
+			}
+			if tc.fallback && !differs {
+				t.Fatal("the snapshot agrees with the tree on every probe; the case cannot tell a fallback from a snapshot read")
+			}
+		})
+	}
+}
+
+// TestSuffixLinkInvariant pins the property the transition automaton
+// rests on: Insert keeps a tree suffix-closed — every node's context
+// minus its most recent symbol is itself a node — so a snapshot of an
+// unpruned tree compiles the O(1)-per-symbol automaton, never the
+// bounded-descent fallback.
+func TestSuffixLinkInvariant(t *testing.T) {
+	rng := rand.New(rand.NewPCG(39, 40))
+	tree := MustNew(Config{AlphabetSize: 4, MaxDepth: 5, Significance: 1})
+	for i := 0; i < 3; i++ {
+		tree.Insert(randomSymbols(rng, 100+rng.IntN(200), 4))
+	}
+	tree.Walk(func(n *Node) bool {
+		if n.Depth() < 2 {
+			return true
+		}
+		// Label is in original order, so its most recent symbol is last.
+		label := n.Label()
+		if tree.Lookup(label[:len(label)-1]) == nil {
+			t.Fatalf("context %v is a node but its suffix %v is not", label, label[:len(label)-1])
+		}
+		return true
+	})
+	if tree.CompileSnapshot(uniformBg(4)).descend {
+		t.Fatal("an unpruned tree must compile the transition automaton, not the descent fallback")
+	}
+}
+
 // TestSnapshotBackgroundMismatchPanics keeps the compile contract
 // aligned with Similarity's.
 func TestSnapshotBackgroundMismatchPanics(t *testing.T) {
@@ -192,8 +266,8 @@ func TestSnapshotBackgroundMismatchPanics(t *testing.T) {
 }
 
 // FuzzSnapshotSimilarity drives random construction and probes through
-// all three scans, including pruning (which exercises the
-// links-invalid compile path).
+// the compiled and the tree scan, including pruning (which exercises
+// the bounded-descent compile path).
 func FuzzSnapshotSimilarity(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 0, 1}, []byte{2, 1, 0}, false)
 	f.Add(uint64(7), []byte{3, 3, 3, 1}, []byte{1, 3, 1, 3}, true)
@@ -223,11 +297,8 @@ func FuzzSnapshotSimilarity(f *testing.F) {
 		}
 		bg := uniformBg(alpha)
 		snap := tree.CompileSnapshot(bg)
-		slow := tree.Similarity(probe, bg)
-		fast := tree.SimilarityFast(probe, bg)
-		comp := snap.Similarity(probe)
-		if slow != fast || comp != slow {
-			t.Fatalf("scan mismatch: slow %+v fast %+v snapshot %+v", slow, fast, comp)
+		if slow, comp := tree.Similarity(probe, bg), snap.Similarity(probe); comp != slow {
+			t.Fatalf("scan mismatch: tree %+v snapshot %+v", slow, comp)
 		}
 	})
 }
@@ -248,7 +319,7 @@ func benchTree(b *testing.B, alpha, seqLen int) (*Tree, [][]seq.Symbol, []float6
 	return tree, probes, uniformBg(alpha)
 }
 
-// BenchmarkSimilarity compares the pointer-walking tree scans with the
+// BenchmarkSimilarity compares the pointer-walking tree scan with the
 // compiled snapshot on the same workload — the acceptance benchmark for
 // the snapshot optimization.
 func BenchmarkSimilarity(b *testing.B) {
@@ -263,7 +334,7 @@ func BenchmarkSimilarity(b *testing.B) {
 		snap := tree.CompileSnapshot(bg)
 		b.Run(size.name+"/tree", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tree.SimilarityFast(probes[i%len(probes)], bg)
+				tree.Similarity(probes[i%len(probes)], bg)
 			}
 		})
 		b.Run(size.name+"/snapshot", func(b *testing.B) {

@@ -43,26 +43,9 @@ func makeClassifier(t *testing.T, trains ...string) *core.Classifier {
 	return clf
 }
 
-// writeBundle saves the classifier atomically as dir/name.cluseq.
+// writeBundle saves the classifier atomically as dir/name.cluseq, in
+// format v3.
 func writeBundle(t *testing.T, dir, name string, clf *core.Classifier) {
-	t.Helper()
-	tmp, err := os.CreateTemp(dir, name+".tmp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clf.Save(tmp); err != nil {
-		t.Fatal(err)
-	}
-	if err := tmp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name+Ext)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// writeBundleV3 saves the classifier atomically as a format-v3 bundle.
-func writeBundleV3(t *testing.T, dir, name string, clf *core.Classifier) {
 	t.Helper()
 	tmp, err := os.CreateTemp(dir, name+".tmp")
 	if err != nil {
@@ -75,6 +58,20 @@ func writeBundleV3(t *testing.T, dir, name string, clf *core.Classifier) {
 		t.Fatal(err)
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, name+Ext)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeBundleV2 installs core's legacy v2 fixture (two clusters over
+// alphabet "abcd") as dir/name.cluseq: no writer for v2 remains, but
+// registries must keep serving such bundles.
+func writeBundleV2(t *testing.T, dir, name string) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "core", "testdata", "classifier_v2.bundle"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name+Ext), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -440,8 +437,8 @@ func TestPublishNameConflicts(t *testing.T) {
 // directory load through the copying fallback.
 func TestMmapServesV3(t *testing.T) {
 	dir := t.TempDir()
-	writeBundleV3(t, dir, "v3", makeClassifier(t, "abababab", "abab"))
-	writeBundle(t, dir, "v2", makeClassifier(t, "cdcdcdcd"))
+	writeBundle(t, dir, "v3", makeClassifier(t, "abababab", "abab"))
+	writeBundleV2(t, dir, "v2")
 
 	r, rep, err := Open(dir)
 	if err != nil {
@@ -477,7 +474,7 @@ func TestMmapServesV3(t *testing.T) {
 // TestMmapDisabled: OpenWith(Options{}) must never map, even for v3.
 func TestMmapDisabled(t *testing.T) {
 	dir := t.TempDir()
-	writeBundleV3(t, dir, "m", makeClassifier(t, "abab"))
+	writeBundle(t, dir, "m", makeClassifier(t, "abab"))
 	r, _, err := OpenWith(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +494,7 @@ func TestMmapDisabled(t *testing.T) {
 // the old mapping — and the old model stays fully usable until then.
 func TestMmapUnmapAfterSwap(t *testing.T) {
 	dir := t.TempDir()
-	writeBundleV3(t, dir, "m", makeClassifier(t, "abababab", "abab"))
+	writeBundle(t, dir, "m", makeClassifier(t, "abababab", "abab"))
 	base := mmapfile.MappedBytes()
 	r, _, err := Open(dir)
 	if err != nil {
@@ -508,7 +505,7 @@ func TestMmapUnmapAfterSwap(t *testing.T) {
 		t.Skip("no OS mapping on this platform; unmap path is untestable")
 	}
 
-	writeBundleV3(t, dir, "m", makeClassifier(t, "cdcdcdcd", "cdcd"))
+	writeBundle(t, dir, "m", makeClassifier(t, "cdcdcdcd", "cdcd"))
 	bump(t, dir, "m", 2*time.Second)
 	if _, err := r.Reload(); err != nil {
 		t.Fatal(err)
@@ -543,7 +540,7 @@ func TestMmapUnmapAfterSwap(t *testing.T) {
 // previous mapped version in service, same as the copying path.
 func TestMmapCorruptV3Rejected(t *testing.T) {
 	dir := t.TempDir()
-	writeBundleV3(t, dir, "m", makeClassifier(t, "abab"))
+	writeBundle(t, dir, "m", makeClassifier(t, "abab"))
 	r, _, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func writeBundle(t testing.TB, dir, name string, clf *core.Classifier) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clf.Save(tmp); err != nil {
+	if err := clf.SaveBundle(tmp, core.BundleOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tmp.Close(); err != nil {

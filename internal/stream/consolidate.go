@@ -181,7 +181,7 @@ func (e *Engine) coverage(c, target *scluster) float64 {
 	}
 	covered := 0
 	for _, syms := range c.reservoir {
-		sim := clusterScore(target, e.background, syms)
+		sim := target.snap.Score(target.tree, syms, e.background)
 		if e.normLogSim(sim, len(syms)) >= e.thr.LogT {
 			covered++
 		}

@@ -242,7 +242,7 @@ type scluster struct {
 	tree *pst.Tree
 	// snap is the compiled scoring snapshot, refreshed at every
 	// consolidation; between refreshes an insert invalidates it and
-	// scoring falls back to the (bit-identical) tree scan.
+	// snap.Score falls back to the (bit-identical) tree scan.
 	snap *pst.Snapshot
 	// size counts sequences absorbed (seed included).
 	size int64
@@ -578,7 +578,7 @@ func (e *Engine) ingestLocked(syms []seq.Symbol) Verdict {
 	e.sims, e.norms = e.sims[:n], e.norms[:n]
 	e.forEachWorker(n, func(i int) {
 		c := e.clusters[i]
-		sim := clusterScore(c, e.background, syms)
+		sim := c.snap.Score(c.tree, syms, e.background)
 		e.sims[i] = sim
 		e.norms[i] = e.normLogSim(sim, len(syms))
 	})
@@ -667,20 +667,6 @@ func (e *Engine) pushReservoir(c *scluster, syms []seq.Symbol) {
 	}
 	c.reservoir[c.resNext] = cp
 	c.resNext = (c.resNext + 1) % len(c.reservoir)
-}
-
-// clusterScore scores syms against one cluster: through the compiled
-// snapshot while it is current, else through the tree's own scan (an
-// insert since the last consolidation bumped the version). Both paths
-// produce bit-identical results by the snapshot contract.
-//
-//cluseq:hotpath
-//cluseq:deterministic
-func clusterScore(c *scluster, background []float64, syms []seq.Symbol) pst.Similarity {
-	if c.snap.Valid(c.tree) {
-		return c.snap.Similarity(syms)
-	}
-	return c.tree.SimilarityFast(syms, background)
 }
 
 // normLogSim converts a similarity to the per-symbol log scale the

@@ -30,8 +30,9 @@ func TestRepoPassesClean(t *testing.T) {
 }
 
 // TestSimilarityReachableFunctionsAreHotpath walks the static call graph
-// from the two similarity entry points — the compiled Snapshot scan and
-// the tree-shaped fallback — and asserts every module function reachable
+// from the similarity entry points — the compiled Snapshot scan, the
+// tree-shaped oracle and fallback, and Snapshot.Score, the one rule
+// choosing between them — and asserts every module function reachable
 // from them carries //cluseq:hotpath, so the whole scoring loop stays
 // under the analyzer's no-alloc/no-lock contract. Call sites under a
 // hotpath waiver are treated as leaving the hot region (e.g. the cold
@@ -87,6 +88,7 @@ func TestSimilarityReachableFunctionsAreHotpath(t *testing.T) {
 	roots := []struct{ pkg, key string }{
 		{"cluseq/internal/pst", "Snapshot.Similarity"},
 		{"cluseq/internal/pst", "Tree.Similarity"},
+		{"cluseq/internal/pst", "Snapshot.Score"},
 	}
 	queue := make([]string, 0, len(roots))
 	seen := map[string]bool{}
