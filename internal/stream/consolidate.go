@@ -69,10 +69,16 @@ func (e *Engine) consolidateLocked() {
 	// Refresh the background from the running symbol counts, then
 	// recompile every snapshot against it (similarities are only
 	// comparable when snapshot and fallback scan share one background).
+	// The refresh is a fresh slice, never an in-place rewrite: trees
+	// memoize ln(background) by the slice's address, so rewriting it
+	// would leave every existing cluster scoring — and compiling — with
+	// the old logarithms.
 	if e.totalSyms > 0 {
+		bg := make([]float64, len(e.symCounts))
 		for s, c := range e.symCounts {
-			e.background[s] = float64(c) / float64(e.totalSyms)
+			bg[s] = float64(c) / float64(e.totalSyms)
 		}
+		e.background = bg
 	}
 	for _, c := range e.clusters {
 		c.snap = c.tree.CompileSnapshot(e.background)

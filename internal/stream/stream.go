@@ -261,8 +261,10 @@ type Engine struct {
 
 	mu sync.Mutex
 	// background is the similarity background distribution, frozen
-	// between consolidations (initially uniform) and recomputed from the
-	// running symbol counts at each pass.
+	// between consolidations (initially uniform) and replaced at each
+	// pass by a fresh slice recomputed from the running symbol counts.
+	// A slice is never rewritten once scored against (see
+	// pst.Tree.Similarity).
 	background []float64
 	symCounts  []int64
 	totalSyms  int64

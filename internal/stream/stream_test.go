@@ -404,3 +404,68 @@ func TestDeterminismSameSeedSameModel(t *testing.T) {
 		t.Fatal("two identical replays produced different models")
 	}
 }
+
+// TestScoresFollowConsolidatedBackground pins the background contract:
+// after a consolidation moves the background, every live cluster must
+// score against the new distribution — through its recompiled snapshot
+// and through the tree-scan fallback once later inserts leave the
+// snapshot stale — bit for bit as a clone of its tree scores against a
+// copy of that distribution.
+func TestScoresFollowConsolidatedBackground(t *testing.T) {
+	db, order := syntheticStream(t, 400)
+	cfg := streamTestConfig(t, db.Alphabet)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	probes := make([][]seq.Symbol, 0, 30)
+	for _, i := range order[:30] {
+		probes = append(probes, db.Sequences[i].Symbols)
+	}
+
+	check := func(stage string) {
+		t.Helper()
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		uniform := 1 / float64(len(e.background))
+		moved := false
+		for _, p := range e.background {
+			moved = moved || p != uniform
+		}
+		if !moved {
+			t.Fatalf("%s: the background never left uniform; the check would be vacuous", stage)
+		}
+		bg := append([]float64(nil), e.background...)
+		stale := 0
+		for _, c := range e.clusters {
+			oracle := c.tree.Clone()
+			if !c.snap.Valid(c.tree) {
+				stale++
+			}
+			for _, p := range probes {
+				want := oracle.Similarity(p, bg)
+				if got := c.snap.Score(c.tree, p, e.background); got != want {
+					t.Fatalf("%s: cluster %d engine score %+v, want %+v", stage, c.id, got, want)
+				}
+				if got := c.tree.Similarity(p, e.background); got != want {
+					t.Fatalf("%s: cluster %d tree scan %+v, want %+v", stage, c.id, got, want)
+				}
+				if got := c.snap.Similarity(p); c.snap.Valid(c.tree) && got != want {
+					t.Fatalf("%s: cluster %d snapshot %+v, want %+v", stage, c.id, got, want)
+				}
+			}
+		}
+		t.Logf("%s: %d clusters checked, %d with stale snapshots", stage, len(e.clusters), stale)
+	}
+
+	for _, i := range order[:360] {
+		e.Ingest(db.Sequences[i].Symbols)
+	}
+	e.ConsolidateNow()
+	check("after consolidation")
+	for _, i := range order[360:] {
+		e.Ingest(db.Sequences[i].Symbols)
+	}
+	check("after later inserts")
+}
