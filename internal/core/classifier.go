@@ -285,9 +285,9 @@ const maxAlphabetBytes = 4 * seqMaxAlphabet
 // it (routed through LoadClassifierBytes on an in-memory copy — callers
 // that want zero-copy should mmap and call LoadClassifierBytes
 // directly), and the legacy v2 and v1 (no alphabet section) formats of
-// earlier versions, converted on load. Corrupt or truncated bundles fail with an
-// error naming the offending section; no error causes an allocation
-// proportional to a corrupt size field.
+// earlier versions, converted on load. Corrupt or truncated bundles
+// fail with an error naming the offending section; no error causes an
+// allocation proportional to a corrupt size field.
 func LoadClassifier(r io.Reader) (*Classifier, error) {
 	br := bufio.NewReader(r)
 	got := make([]byte, len(classifierMagicV2))

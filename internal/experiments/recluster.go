@@ -8,9 +8,9 @@ import (
 
 // ReclusterBench measures the two-phase reclustering engine on the
 // synthetic workload: similarity cache on/off × worker counts, with the
-// per-run cache hit/miss totals. It seeds the repo's performance trajectory — cmd/experiments
-// serializes it to BENCH_recluster.json so successive PRs can diff the
-// numbers.
+// per-run cache hit/miss totals. It seeds the repo's performance
+// trajectory — cmd/experiments serializes it to BENCH_recluster.json so
+// successive PRs can diff the numbers.
 type ReclusterBench struct {
 	Scale Scale
 	Rows  []ReclusterBenchRow

@@ -172,15 +172,14 @@ func (n *Node) NextCount(s seq.Symbol) int64 { return n.next[s] }
 //
 // A Tree is not safe for concurrent mutation. The read-only methods —
 // Similarity, Predict, PredictionNode, Lookup, Walk, Stats, Version,
-// and friends — may be called from any number of
-// goroutines simultaneously, provided no mutating method (Insert,
-// InsertCounts, Merge, Prune) runs concurrently with them. This
-// read-only contract is what the clustering engine's parallel scoring
-// phase relies on: cluster trees are frozen while workers score
-// sequences against them, and all tree updates happen in a serial apply
-// phase. (The background-log memoization inside the similarity scans is
-// an atomic immutable publish — lock-free for readers — and does not
-// break the contract.)
+// and friends — may be called from any number of goroutines
+// simultaneously, provided no mutating method (Insert, InsertCounts,
+// Merge, Prune) runs concurrently with them. This read-only contract is
+// what the clustering engine's parallel scoring phase relies on: cluster
+// trees are frozen while workers score sequences against them, and all
+// tree updates happen in a serial apply phase. (The background-log
+// memoization inside the similarity scans is an atomic immutable
+// publish — lock-free for readers — and does not break the contract.)
 //
 // Version exposes a monotonic mutation counter so callers can detect,
 // cheaply and exactly, whether a tree changed between two observations —
@@ -221,6 +220,9 @@ func New(cfg Config) (*Tree, error) {
 	t.numNodes = 1
 	// Estimated footprint of one node: struct header and bookkeeping
 	// (~88 bytes), the next-count vector, and amortized child-map space.
+	// The estimate fixes how many nodes a MaxBytes cap admits, so it is
+	// part of every capped tree's shape and stays put when Node's
+	// layout changes.
 	t.nodeBytes = 88 + 8*cfg.AlphabetSize + 48
 	if cfg.MaxBytes > 0 {
 		t.maxNodes = cfg.MaxBytes / t.nodeBytes

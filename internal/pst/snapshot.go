@@ -17,9 +17,11 @@ import (
 //
 //   - locating the deepest node matching the current context — up to
 //     L child-map lookups per symbol in Tree.Similarity — becomes one
-//     transition step: a table load for nodes whose extension row is
-//     dense, a binary search over a sorted CSR row with parent
-//     fallback for the (typically long) sparse tail,
+//     step of a transition automaton built from suffix links at compile
+//     time (the "auxiliary links" §4.3 credits with an O(l) scan): a
+//     table load for nodes whose extension row is dense, a binary
+//     search over a sorted CSR row with parent fallback for the
+//     (typically long) sparse tail,
 //   - the climb to the deepest significant ancestor becomes a
 //     precomputed per-node row index, and
 //   - the per-symbol probability adjustment (§5.2 PMin), the math.Log
@@ -45,8 +47,7 @@ import (
 //
 // The compilation is exact, not approximate: Similarity returns results
 // bit-identical to Tree.Similarity (same LogSim, Start, End, in every
-// estimation mode). Two facts make the
-// node-level precomputation sound:
+// estimation mode). Two facts make the node-level precomputation sound:
 //
 //   - a node's occurrence count never exceeds its parent's (a context's
 //     occurrences are a subset of its suffix's), so significance is
@@ -81,9 +82,9 @@ import (
 // tree identity and Version stamp — the same invalidation rule the
 // clustering engine's similarity cache uses — and score live trees
 // through Score, which falls back to Tree.Similarity once the snapshot
-// is stale. A snapshot reconstructed from a
-// serialized arena (SnapshotFromArena) has no tree at all — see
-// Standalone.
+// is stale. A snapshot reconstructed from a serialized arena
+// (SnapshotFromArena) has no tree at all (Tree returns nil), so it
+// never goes stale.
 //
 // Snapshots are safe for concurrent use by any number of goroutines.
 type Snapshot struct {
@@ -459,12 +460,6 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // Tree returns the tree the snapshot was compiled from, or nil for a
 // snapshot reconstructed from a serialized arena.
 func (s *Snapshot) Tree() *Tree { return s.tree }
-
-// Standalone reports whether the snapshot was reconstructed from a
-// serialized arena rather than compiled from a live tree: it can never
-// go stale (there is no tree to mutate) and Valid is the wrong
-// staleness test for it.
-func (s *Snapshot) Standalone() bool { return s != nil && s.tree == nil }
 
 // Background returns the background distribution the snapshot's log
 // ratios were folded with. Callers must not mutate it.
