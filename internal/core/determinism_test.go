@@ -10,12 +10,13 @@ import (
 
 // The two-phase reclustering design promises bit-identical results at
 // any worker count: the parallel scoring phase is read-only over the
-// cluster trees and writes disjoint cache slots, and the serial apply
-// phase examines sequences in the exact §6.3 order, re-scoring any pair
-// whose tree changed mid-pass. These tests pin that promise (and the
-// similarity cache's exactness) on the synthetic generator's datasets;
-// CI runs them under -race, where the scoring phase's read-only
-// contract is also checked mechanically.
+// cluster trees and writes disjoint cache slots, and the cluster-major
+// apply phase walks the exact §6.3 order once per cluster, each cluster
+// in its own task, re-scoring any pair whose tree changed mid-pass. A
+// join mutates only its own cluster's tree, so the tasks never share
+// state. These tests pin that promise (and the similarity cache's
+// exactness) on the synthetic generator's datasets; CI runs them under
+// -race, where both phases' partitioning is also checked mechanically.
 
 func determinismDB(t *testing.T, seed uint64) *seq.Database {
 	t.Helper()
@@ -30,8 +31,10 @@ func determinismDB(t *testing.T, seed uint64) *seq.Database {
 }
 
 // determinismConfigs returns configurations covering the engine's main
-// code paths: the plain run, and one exercising refinement passes,
-// merge consolidation, and random examination order on top.
+// code paths: the plain run; one exercising refinement passes, merge
+// consolidation, and random examination order on top; and one where
+// §5.1 pruning evicts nodes inside the apply fan-out, under the
+// cluster-based order with whole-sequence inserts.
 func determinismConfigs() map[string]Config {
 	base := Config{
 		InitialClusters: 4, Significance: 15, MinDistinct: 3,
@@ -42,7 +45,13 @@ func determinismConfigs() map[string]Config {
 	extended.RefinePasses = 2
 	extended.MergeConsolidation = true
 	extended.Order = OrderRandom
-	return map[string]Config{"base": base, "refine+merge+random": extended}
+	pruned := base
+	// A one-sequence seed tree here takes about 61 kB, so the cap lets
+	// seeds in whole and every eviction happens on a join.
+	pruned.MaxPSTBytes = 100_000
+	pruned.Order = OrderClusterBased
+	pruned.InsertWhole = true
+	return map[string]Config{"base": base, "refine+merge+random": extended, "pruned+cluster-order+whole": pruned}
 }
 
 func TestClusterWorkersDeterminism(t *testing.T) {
@@ -64,6 +73,9 @@ func TestClusterWorkersDeterminism(t *testing.T) {
 			}
 			if len(a.Clusters) == 0 {
 				t.Fatal("no clusters found; the determinism check would be vacuous")
+			}
+			if cfg.MaxPSTBytes > 0 && !anyPruned(a) {
+				t.Fatal("no cluster tree was pruned; the pruning case would be vacuous")
 			}
 			// Full structural equality: memberships, primary assignment,
 			// thresholds, and the complete iteration trace — including
@@ -116,6 +128,15 @@ func TestClusterCacheCorrectness(t *testing.T) {
 			})
 		}
 	}
+}
+
+func anyPruned(r *Result) bool {
+	for _, c := range r.Clusters {
+		if c.TreeStats.PrunedNodes > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func stripCacheCounters(r *Result) {

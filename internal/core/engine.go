@@ -27,13 +27,14 @@ type cluster struct {
 	// computed at (see simCacheEntry). Allocated on first scoring.
 	cache []simCacheEntry
 	// snap is the compiled scoring snapshot of tree (see pst.Snapshot),
-	// refreshed by ensureSnapshot whenever the tree version moves. It is
-	// compiled serially before each parallel fan-out and read-only
-	// inside, so workers scan flat arrays with no locks. Every score goes
-	// through snap.Score, which falls back to the tree scan while the
-	// snapshot is stale: in the apply phase a join bumps the version and
-	// later sequences are re-scored against the mutated tree, where
-	// recompiling per join would cost more than the scans it saves.
+	// refreshed by ensureSnapshots whenever the tree version moves. It is
+	// compiled before each parallel fan-out, by the one task that owns
+	// the cluster, and read-only inside, so workers scan flat arrays with
+	// no locks. Every score goes through snap.Score, which falls back to
+	// the tree scan while the snapshot is stale: in the apply phase a
+	// join bumps the version and the cluster's later sequences are
+	// re-scored against the mutated tree, where recompiling per join
+	// would cost more than the scans it saves.
 	snap *pst.Snapshot
 	// obsPruned/obsPruneEvents are the portions of the tree's cumulative
 	// prune counters already folded into the run metrics (see
@@ -309,7 +310,7 @@ func (e *engine) refine() {
 			}
 			sort.Ints(members)
 			segs := make([][2]int, len(members))
-			e.ensureSnapshot(c)
+			e.ensureSnapshots(c)
 			e.forEachWorker(len(members), func(i int) {
 				s := e.db.Sequences[members[i]]
 				sim := c.snap.Score(c.tree, s.Symbols, e.background)
@@ -368,7 +369,7 @@ func (e *engine) primaryAssignment() []int {
 			memberOf[m] = append(memberOf[m], ci)
 		}
 	}
-	e.ensureSnapshots()
+	e.ensureSnapshots(e.clusters...)
 	e.forEachWorker(e.db.Len(), func(si int) {
 		clusters := memberOf[si]
 		if len(clusters) == 0 {
@@ -458,7 +459,7 @@ func (e *engine) generateClusters(kn int) int {
 	for i := range maxSim {
 		maxSim[i] = math.Inf(-1)
 	}
-	e.ensureSnapshots()
+	e.ensureSnapshots(e.clusters...)
 	e.forEachWorker(m, func(i int) {
 		syms := e.db.Sequences[sample[i]].Symbols
 		for _, c := range e.clusters {
@@ -497,7 +498,7 @@ func (e *engine) generateClusters(kn int) int {
 		// Update remaining candidates against the new seed cluster. The
 		// fresh seed tree is scored against every remaining candidate, so
 		// it is worth compiling too.
-		e.ensureSnapshot(c)
+		e.ensureSnapshots(c)
 		for i := 0; i < m; i++ {
 			if picked[i] {
 				continue
@@ -512,30 +513,29 @@ func (e *engine) generateClusters(kn int) int {
 	return created
 }
 
-// ensureSnapshot (re)compiles c's scoring snapshot when the tree has
-// moved past the one it holds. Must be called from the serial sections
-// only — compilation mutates c.snap, and concurrent Similarity calls
-// against a half-built snapshot would race.
+// ensureSnapshots (re)compiles the scoring snapshot of every given
+// cluster whose tree has moved past the one it holds; call before any
+// parallel scoring fan-out. The stale clusters are picked serially and
+// compiled across the pool, one task per cluster: a task writes only its
+// own cluster's snap and reads only its own tree, so the compiles are
+// independent, and the counters are bumped once the fan-out has joined.
 //
 //cluseq:deterministic
-func (e *engine) ensureSnapshot(c *cluster) {
-	if !c.snap.Valid(c.tree) {
+func (e *engine) ensureSnapshots(cs ...*cluster) {
+	var stale []*cluster
+	for _, c := range cs {
+		if !c.snap.Valid(c.tree) {
+			stale = append(stale, c)
+		}
+	}
+	e.forEachWorker(len(stale), func(i int) {
+		c := stale[i]
 		start := time.Now() //cluseq:allow determinism: timestamp feeds the compile-seconds histogram only, never the clustering state
 		c.snap = c.tree.CompileSnapshot(e.background)
-		e.iterCompiles++
-		e.met.snapCompiles.Inc()
 		e.met.snapCompileSeconds.ObserveSince(start)
-	}
-}
-
-// ensureSnapshots refreshes every live cluster's snapshot; call before
-// any parallel scoring fan-out.
-//
-//cluseq:deterministic
-func (e *engine) ensureSnapshots() {
-	for _, c := range e.clusters {
-		e.ensureSnapshot(c)
-	}
+	})
+	e.iterCompiles += len(stale)
+	e.met.snapCompiles.Add(int64(len(stale)))
 }
 
 // normalizedLogSim converts a similarity to the per-symbol log scale the
@@ -574,7 +574,7 @@ func (e *engine) scoreClusters() {
 			c.cache = make([]simCacheEntry, e.db.Len())
 		}
 	}
-	e.ensureSnapshots()
+	e.ensureSnapshots(e.clusters...)
 	e.forEachWorker(e.db.Len(), func(si int) {
 		s := e.db.Sequences[si]
 		if len(s.Symbols) == 0 {
@@ -590,9 +590,9 @@ func (e *engine) scoreClusters() {
 // the cache entry when it matches the tree's current version and
 // re-scoring (and restamping) it otherwise. countHit attributes a valid
 // entry to the hit counter — set by the scoring phase, where a hit means
-// a pair carried over from a previous iteration; the serial apply phase
-// passes false, since there a valid entry is normally just the scoring
-// phase's own work being read back.
+// a pair carried over from a previous iteration; the apply phase passes
+// false, since there a valid entry is normally just the scoring phase's
+// own work being read back.
 //
 //cluseq:deterministic
 func (e *engine) cachedSim(c *cluster, si int, syms []seq.Symbol, countHit bool) pst.Similarity {
@@ -608,13 +608,20 @@ func (e *engine) cachedSim(c *cluster, si int, syms []seq.Symbol, countHit bool)
 }
 
 // recluster runs one §4.2 pass in two phases: the parallel scoring
-// phase above, then a serial apply phase that examines sequences in the
-// exact §6.3 order, joining clusters and inserting best segments. A
-// join mutates the cluster's tree and bumps its version, so the apply
-// phase's cachedSim transparently re-scores later sequences against
-// that cluster — the results are bit-identical to a fully serial pass
-// at any worker count. Returns all (normalized) log-similarities for
-// the threshold histogram.
+// phase above, then the apply phase, which joins clusters and inserts
+// best segments with every sequence examined in the exact §6.3 order.
+//
+// The apply phase is cluster-major: each cluster walks the whole order
+// as its own pool task. A join inserts into the joined cluster's tree
+// only (§4.4), and the threshold is fixed for the whole pass, so a
+// cluster's decisions depend on nothing but its own tree and the order:
+// a join bumps that tree's version, and cachedSim transparently
+// re-scores the cluster's later sequences against the mutated tree. A
+// task writes only its own cluster's tree, members and cache and its own
+// row of scores, so the results are bit-identical to a fully serial,
+// sequence-major pass at any worker count. Returns all (normalized)
+// log-similarities for the threshold histogram, gathered from the rows
+// in sequence-major order after the fan-out.
 //
 //cluseq:deterministic
 func (e *engine) recluster() []float64 {
@@ -629,22 +636,21 @@ func (e *engine) recluster() []float64 {
 	start = time.Now() //cluseq:allow determinism: timestamp feeds the apply-phase span and histogram only, never the clustering state
 	sp = e.cfg.Tracer.Span("apply", obs.Int("iter", e.iter+1))
 	order := e.sequenceOrder()
-	logSims := make([]float64, 0, len(order)*max(len(e.clusters), 1))
-	for _, si := range order {
-		s := e.db.Sequences[si]
-		if len(s.Symbols) == 0 {
-			continue
-		}
-		for _, c := range e.clusters {
+	n := len(order)
+	// norms[ci*n+pos] is cluster ci's score for the sequence at position
+	// pos of the order; one row per task, so no two tasks share a slot.
+	norms := make([]float64, len(e.clusters)*n)
+	e.forEachWorker(len(e.clusters), func(ci int) {
+		c := e.clusters[ci]
+		row := norms[ci*n : (ci+1)*n]
+		for pos, si := range order {
+			s := e.db.Sequences[si]
+			if len(s.Symbols) == 0 {
+				continue
+			}
 			sim := e.cachedSim(c, si, s.Symbols, false)
 			norm := e.normalizedLogSim(sim, len(s.Symbols))
-			// The seed's similarity to its own tree is a memorization
-			// artifact (the whole sequence was inserted), far above any
-			// genuine member's score; keep it out of the threshold
-			// histogram.
-			if !math.IsInf(norm, -1) && si != c.seedIdx {
-				logSims = append(logSims, norm)
-			}
+			row[pos] = norm
 			if norm >= e.thr.LogT {
 				// §4.2/§4.4: when a sequence joins a cluster, the segment
 				// producing the maximum similarity updates the tree — on
@@ -663,6 +669,22 @@ func (e *engine) recluster() []float64 {
 				}
 			} else {
 				delete(c.members, si)
+			}
+		}
+	})
+	logSims := make([]float64, 0, len(norms))
+	for pos, si := range order {
+		if len(e.db.Sequences[si].Symbols) == 0 {
+			continue
+		}
+		for ci, c := range e.clusters {
+			norm := norms[ci*n+pos]
+			// The seed's similarity to its own tree is a memorization
+			// artifact (the whole sequence was inserted), far above any
+			// genuine member's score; keep it out of the threshold
+			// histogram.
+			if !math.IsInf(norm, -1) && si != c.seedIdx {
+				logSims = append(logSims, norm)
 			}
 		}
 	}
@@ -824,12 +846,13 @@ func (e *engine) workers() int {
 }
 
 // forEachWorker runs fn(i) for i in [0, n), on the run's shared worker
-// pool when one exists and n is large enough to pay for the dispatch,
-// serially otherwise.
+// pool when one exists and there are at least two indices, serially
+// otherwise. Every caller's per-index work is at least one full scan or
+// compile, which costs far more than handing an index to a helper.
 //
 //cluseq:fanout
 func (e *engine) forEachWorker(n int, fn func(i int)) {
-	if e.pool == nil || n < 4 {
+	if e.pool == nil || n < 2 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

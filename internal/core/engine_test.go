@@ -4,7 +4,11 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"sync/atomic"
 	"testing"
+
+	"cluseq/internal/obs"
+	"cluseq/internal/pool"
 )
 
 func newTestRand(seed uint64) *rand.Rand {
@@ -191,26 +195,45 @@ func TestClampThreshold(t *testing.T) {
 	}
 }
 
+// TestForEachWorkerCoversAll checks that forEachWorker visits every index
+// exactly once and that every range of two or more indices goes through
+// the pool: the apply phase and the snapshot compiles fan out over as few
+// as two clusters.
 func TestForEachWorkerCoversAll(t *testing.T) {
-	e := &engine{cfg: Config{Workers: 4}}
-	n := 1000
-	hits := make([]int32, n)
-	e.forEachWorker(n, func(i int) { hits[i]++ })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
+	reg := obs.NewRegistry()
+	p := pool.New(3)
+	p.Instrument(reg, "cluseq_pool")
+	tasks := reg.Counter("cluseq_pool_tasks_total")
+	e := &engine{pool: p}
+	for _, n := range []int{1, 2, 3, 1000} {
+		before := tasks.Value()
+		hits := make([]atomic.Int32, n)
+		e.forEachWorker(n, func(i int) { hits[i].Add(1) })
+		for i := range hits {
+			if h := hits[i].Load(); h != 1 {
+				t.Fatalf("n=%d: index %d visited %d times", n, i, h)
+			}
+		}
+		want := int64(n)
+		if n < 2 {
+			want = 0
+		}
+		if got := tasks.Value() - before; got != want {
+			t.Errorf("n=%d: %d tasks went through the pool, want %d", n, got, want)
 		}
 	}
-	// Serial path.
-	e.cfg.Workers = 1
-	e.forEachWorker(n, func(i int) { hits[i]++ })
+	// Serial path: no pool.
+	e.pool = nil
+	hits := make([]int32, 1000)
+	e.forEachWorker(len(hits), func(i int) { hits[i]++ })
 	for i, h := range hits {
-		if h != 2 {
+		if h != 1 {
 			t.Fatalf("serial: index %d visited %d times", i, h)
 		}
 	}
 	// Zero-length never calls fn.
-	e.forEachWorker(0, func(i int) { t.Fatal("called on empty range") })
+	e.pool = p
+	e.forEachWorker(0, func(i int) { t.Error("called on empty range") })
 }
 
 func TestSequenceOrderStrategies(t *testing.T) {

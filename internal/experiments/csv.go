@@ -141,10 +141,13 @@ func (r *ReclusterBench) Table() (string, []string, [][]string) {
 			cache = "off"
 		}
 		rows[i] = []string{itoa(row.Workers), cache, itoa(row.Iterations),
-			itoa(row.CacheHits), itoa(row.CacheMisses), pct(row.Accuracy), secs(row.Elapsed)}
+			itoa(row.CacheHits), itoa(row.CacheMisses), pct(row.Accuracy), secs(row.Elapsed),
+			secs(row.Generate), secs(row.Score), secs(row.Apply), secs(row.Consolidate),
+			secs(row.Threshold), secs(row.Unattributed)}
 	}
-	return fmt.Sprintf("Recluster benchmark: similarity cache × workers (scale=%s)", r.Scale),
-		[]string{"workers", "cache", "iterations", "cache_hits", "cache_misses", "accuracy", "time"}, rows
+	return fmt.Sprintf("Recluster benchmark: similarity cache × workers, medians of %d runs (scale=%s; %s)", r.Runs, r.Scale, r.Host),
+		[]string{"workers", "cache", "iterations", "cache_hits", "cache_misses", "accuracy", "time",
+			"generate", "score", "apply", "consolidate", "threshold", "unattributed"}, rows
 }
 
 // Table returns the similarity benchmark contents.

@@ -208,9 +208,13 @@ func Instrument(reg *obs.Registry, tr *obs.Tracer) {
 }
 
 // runCLUSEQ executes the core algorithm and evaluates it against the
-// database's ground-truth labels.
+// database's ground-truth labels. A cfg.Obs the caller set is kept (the
+// recluster benchmark reads each run's phase times from its own
+// registry); otherwise the run reports to the Instrument registry.
 func runCLUSEQ(db *seq.Database, cfg core.Config) (*core.Result, eval.Report, time.Duration, error) {
-	cfg.Obs = obsRegistry
+	if cfg.Obs == nil {
+		cfg.Obs = obsRegistry
+	}
 	cfg.Tracer = obsTracer
 	start := time.Now()
 	res, err := core.Cluster(db, cfg)

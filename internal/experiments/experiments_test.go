@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // The experiment runners are exercised at ScaleTiny: the assertions target
@@ -279,4 +280,35 @@ func TestFigure6SequencesRoughlyLinear(t *testing.T) {
 	if tRatio > nRatio*nRatio {
 		t.Fatalf("time ratio %.1f vs size ratio %.1f: super-quadratic growth", tRatio, nRatio)
 	}
+}
+
+// TestReclusterBenchLayers checks the recluster benchmark's layered rows:
+// every cell reports the same clustering, the phase times and the
+// unattributed remainder add up to the wall time, and the host is named.
+func TestReclusterBenchLayers(t *testing.T) {
+	// Two runs: the median of two is their mean, which is linear, so the
+	// per-run identity Σ phases + unattributed = elapsed survives it.
+	res, err := runReclusterBench(ScaleTiny, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Runs != 2 || len(res.Rows) != 4 {
+		t.Fatalf("got %d runs and %d rows, want 2 and 4", res.Runs, len(res.Rows))
+	}
+	if res.Host.CPU == "" || res.Host.GOMAXPROCS < 1 || res.Host.GoVersion == "" || res.Host.Commit == "" {
+		t.Fatalf("host metadata incomplete: %+v", res.Host)
+	}
+	for _, r := range res.Rows {
+		if r.Iterations != res.Rows[0].Iterations || r.Accuracy != res.Rows[0].Accuracy {
+			t.Errorf("workers=%d cache-off=%v clustered differently from the first cell", r.Workers, r.CacheOff)
+		}
+		if r.Generate <= 0 || r.Score <= 0 || r.Apply <= 0 || r.Unattributed < 0 {
+			t.Errorf("workers=%d cache-off=%v: phase times missing: %+v", r.Workers, r.CacheOff, r)
+		}
+		sum := r.Generate + r.Score + r.Apply + r.Consolidate + r.Threshold + r.Unattributed
+		if d := sum - r.Elapsed; d < -time.Microsecond || d > time.Microsecond {
+			t.Errorf("workers=%d cache-off=%v: phases and remainder sum to %v, elapsed %v", r.Workers, r.CacheOff, sum, r.Elapsed)
+		}
+	}
+	_ = res.String()
 }
