@@ -28,8 +28,8 @@ type ReclusterBench struct {
 // Elapsed is the median wall time of one core.Cluster call; the phase
 // times are the medians of the engine's cluseq_engine_phase_seconds
 // series (generate, score, apply, consolidate, threshold), and
-// Unattributed is the median of Elapsed minus their sum: set-up and the
-// final primary assignment.
+// Unattributed is the median of Elapsed minus their sum: set-up,
+// per-iteration bookkeeping and the final primary assignment.
 type ReclusterBenchRow struct {
 	Workers      int
 	CacheOff     bool
