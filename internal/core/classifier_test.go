@@ -284,6 +284,36 @@ func asV1Bundle(t *testing.T, v2 []byte) []byte {
 	return out
 }
 
+// TestLoadClassifierRejectsOutOfAlphabetEdge: a tree section whose
+// first child carries an edge symbol beyond the alphabet must fail the
+// load with an error naming the tree. Such a tree used to load: its
+// snapshot then panicked indexing a dense transition row, or, for this
+// fixture's deeper trees, compiled in descent mode around a context no
+// input can reach.
+func TestLoadClassifierRejectsOutOfAlphabetEdge(t *testing.T) {
+	_, data := v2Fixture(t)
+	data = append([]byte(nil), data...)
+	le := binary.LittleEndian
+	// magic, header (tree count, symbol count, threshold, raw flag), the
+	// alphabet section, the background, then tree 0's size and its PSTv1
+	// bytes: a 87-byte header, then the root's 18 fixed bytes and its
+	// 10-byte next entries, then the first child's edge symbol.
+	const magicLen, hdrLen = 12, 8 + 8 + 8 + 1
+	nBg := int(le.Uint64(data[magicLen+8:]))
+	alphaLen := int(le.Uint64(data[magicLen+hdrLen:]))
+	tree := magicLen + hdrLen + 8 + alphaLen + 8*nBg + 8
+	root := tree + 87
+	child := root + 18 + 10*int(le.Uint32(data[root+10:]))
+	le.PutUint16(data[child:], 60000)
+	_, err := LoadClassifier(bytes.NewReader(data))
+	if err == nil {
+		t.Fatal("LoadClassifier should reject an edge symbol outside the alphabet")
+	}
+	if !strings.Contains(err.Error(), "tree 0") || !strings.Contains(err.Error(), "edge symbol 60000") {
+		t.Fatalf("error should name tree 0 and the edge symbol, got: %v", err)
+	}
+}
+
 func TestLoadClassifierAcceptsV1(t *testing.T) {
 	clf, data := v2Fixture(t)
 	loaded, err := LoadClassifier(bytes.NewReader(asV1Bundle(t, data)))

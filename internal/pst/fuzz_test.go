@@ -1,6 +1,7 @@
 package pst
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -53,23 +54,24 @@ func FuzzPSTInsertPredict(f *testing.F) {
 		tree.Insert(seg)
 
 		const eps = 1e-9
-		tree.Walk(func(node *Node) bool {
-			if node.Count < 0 {
-				t.Fatalf("node %v: negative count %d", node.Label(), node.Count)
+		tree.Walk(func(x Slot) bool {
+			count := tree.Count(x)
+			if count < 0 {
+				t.Fatalf("node %v: negative count %d", tree.Label(x), count)
 			}
 			var sum int64
 			for s := 0; s < n; s++ {
-				nc := node.NextCount(seq.Symbol(s))
-				if nc < 0 || nc > node.Count {
-					t.Fatalf("node %v: next[%d] = %d outside [0, count=%d]", node.Label(), s, nc, node.Count)
+				nc := tree.NextCount(x, seq.Symbol(s))
+				if nc < 0 || nc > count {
+					t.Fatalf("node %v: next[%d] = %d outside [0, count=%d]", tree.Label(x), s, nc, count)
 				}
 				sum += nc
 			}
-			if sum > node.Count {
-				t.Fatalf("node %v: Σnext = %d exceeds count %d", node.Label(), sum, node.Count)
+			if sum > count {
+				t.Fatalf("node %v: Σnext = %d exceeds count %d", tree.Label(x), sum, count)
 			}
-			if node == tree.Root() && node.Count > 0 && sum != node.Count {
-				t.Fatalf("root: Σnext = %d, want exactly count %d (the root counts only predicted positions)", sum, node.Count)
+			if x == tree.Root() && count > 0 && sum != count {
+				t.Fatalf("root: Σnext = %d, want exactly count %d (the root counts only predicted positions)", sum, count)
 			}
 			return true
 		})
@@ -99,6 +101,85 @@ func FuzzPSTInsertPredict(f *testing.F) {
 			if comp := tree.CompileSnapshot(bg).Similarity(ctx); comp != slow {
 				t.Fatalf("Snapshot %+v disagrees with Similarity %+v", comp, slow)
 			}
+		}
+	})
+}
+
+// maxFuzzLoadBytes bounds FuzzPSTLoad's inputs. Next-count rows are
+// dense, so each 18-byte serialized node costs 8·n bytes in memory: with
+// the alphabet at its maximum, 2 KiB of input already loads to ~60 MB,
+// and larger inputs only scale that cost without reaching new code.
+const maxFuzzLoadBytes = 2048
+
+// FuzzPSTLoad feeds Load arbitrary bytes, seeded with the Save output of
+// small and pruned trees. Load must never panic; a tree it accepts must
+// walk to exactly its declared node count, save to bytes that Load and
+// Save reproduce exactly, and compile to a snapshot that scores
+// bit-identically to Tree.Similarity on a probe the input's tail
+// supplies.
+func FuzzPSTLoad(f *testing.F) {
+	seedTree := func(cfg Config, prune int, segs ...[]seq.Symbol) []byte {
+		tree := MustNew(cfg)
+		for _, s := range segs {
+			tree.Insert(s)
+		}
+		if prune > 0 {
+			tree.Prune(prune)
+		}
+		var buf bytes.Buffer
+		if err := tree.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Add(seedTree(Config{AlphabetSize: 2}, 0))
+	f.Add(seedTree(Config{AlphabetSize: 3, MaxDepth: 1, Significance: 1}, 0, []seq.Symbol{0, 1, 2, 0}))
+	f.Add(seedTree(Config{AlphabetSize: 3, MaxDepth: 3, Significance: 2, PMin: 0.01}, 0, []seq.Symbol{0, 1, 2, 0, 1, 1, 2}))
+	f.Add(seedTree(Config{AlphabetSize: 4, MaxDepth: 4, Significance: 1, Prune: PruneExpectedVector}, 9,
+		[]seq.Symbol{0, 1, 2, 3, 0, 1, 3, 3, 2}, []seq.Symbol{3, 2, 1}))
+	f.Add(seedTree(Config{AlphabetSize: 3, MaxDepth: 3, Significance: 1, Shrinkage: 4}, 0, []seq.Symbol{2, 1, 0, 2, 1}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > maxFuzzLoadBytes {
+			return
+		}
+		tree, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		walked := 0
+		tree.Walk(func(Slot) bool { walked++; return true })
+		if walked != tree.NumNodes() {
+			t.Fatalf("Walk visited %d nodes, NumNodes is %d", walked, tree.NumNodes())
+		}
+		var first bytes.Buffer
+		if err := tree.Save(&first); err != nil {
+			t.Fatalf("Save of a loaded tree: %v", err)
+		}
+		again, err := Load(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Load of a saved tree: %v", err)
+		}
+		var second bytes.Buffer
+		if err := again.Save(&second); err != nil {
+			t.Fatalf("Save of a reloaded tree: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("Save is not a fixpoint under Load/Save")
+		}
+
+		n := tree.Config().AlphabetSize
+		bg := make([]float64, n)
+		for i := range bg {
+			bg[i] = 1 / float64(n)
+		}
+		var probe []seq.Symbol
+		for _, b := range data[max(0, len(data)-64):] {
+			probe = append(probe, seq.Symbol(int(b)%n))
+		}
+		want := tree.Similarity(probe, bg)
+		if got := tree.CompileSnapshot(bg).Similarity(probe); got != want {
+			t.Fatalf("Snapshot %+v disagrees with Similarity %+v", got, want)
 		}
 	})
 }

@@ -22,17 +22,27 @@ func (t *Tree) Merge(other *Tree) error {
 	if other.cfg.MaxDepth != t.cfg.MaxDepth {
 		return fmt.Errorf("pst: merge depth mismatch: %d vs %d", other.cfg.MaxDepth, t.cfg.MaxDepth)
 	}
-	var rec func(dst, src *Node)
-	rec = func(dst, src *Node) {
-		dst.Count += src.Count
-		for s, c := range src.next {
-			dst.next[s] += c
+	// Pre-order over other's nodes, each paired with its parent's
+	// counterpart in t (the root pairs with the root).
+	type pending struct{ dstParent, src Slot }
+	stack := []pending{{dstParent: NoSlot, src: other.Root()}}
+	for len(stack) > 0 {
+		e := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		dst := t.Root()
+		if e.dstParent != NoSlot {
+			dst = t.ensureChild(e.dstParent, other.edge[e.src])
 		}
-		for sym, child := range src.children {
-			rec(t.ensureChild(dst, sym), child)
+		t.count[dst] += other.count[e.src]
+		row := t.nextRow(dst)
+		for s, c := range other.nextRow(e.src) {
+			row[s] += c
+		}
+		_, slots := other.kids(e.src)
+		for j := len(slots) - 1; j >= 0; j-- {
+			stack = append(stack, pending{dstParent: dst, src: Slot(slots[j])})
 		}
 	}
-	rec(t.root, other.root)
 	t.insertions += other.insertions
 	t.pruned += other.pruned
 	t.version++
@@ -54,16 +64,16 @@ func (t *Tree) InsertCounts(context []seq.Symbol, next seq.Symbol, times int64) 
 		context = context[len(context)-t.cfg.MaxDepth:]
 	}
 	hasNext := int(next) < t.cfg.AlphabetSize
-	n := t.root
+	x := t.Root()
 	if hasNext {
 		// The root counts predicted positions only (its count is the total
 		// symbol count, §3); end-of-data occurrences touch deeper contexts
 		// but not the root, matching Insert's tail pass.
-		t.bump(n, next, times, true)
+		t.bump(x, next, times, true)
 	}
 	for d := 1; d <= len(context); d++ {
-		n = t.ensureChild(n, context[len(context)-d])
-		t.bump(n, next, times, hasNext)
+		x = t.ensureChild(x, context[len(context)-d])
+		t.bump(x, next, times, hasNext)
 	}
 	if hasNext {
 		t.insertions += times
@@ -75,9 +85,9 @@ func (t *Tree) InsertCounts(context []seq.Symbol, next seq.Symbol, times int64) 
 	return nil
 }
 
-func (t *Tree) bump(n *Node, next seq.Symbol, times int64, hasNext bool) {
-	n.Count += times
+func (t *Tree) bump(x Slot, next seq.Symbol, times int64, hasNext bool) {
+	t.count[x] += times
 	if hasNext {
-		n.next[next] += times
+		t.nextRow(x)[next] += times
 	}
 }

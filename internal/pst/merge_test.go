@@ -34,14 +34,14 @@ func TestMergeEqualsUnionBuild(t *testing.T) {
 		if t1.TotalSymbols() != union.TotalSymbols() {
 			t.Fatalf("merged symbols %d, union %d", t1.TotalSymbols(), union.TotalSymbols())
 		}
-		union.Walk(func(n *Node) bool {
-			m := t1.Lookup(n.Label())
-			if m == nil || m.Count != n.Count {
-				t.Fatalf("context %v: merged count mismatch", n.Label())
+		union.Walk(func(x Slot) bool {
+			m := t1.Lookup(union.Label(x))
+			if m == NoSlot || t1.Count(m) != union.Count(x) {
+				t.Fatalf("context %v: merged count mismatch", union.Label(x))
 			}
 			for s := seq.Symbol(0); s < 4; s++ {
-				if m.NextCount(s) != n.NextCount(s) {
-					t.Fatalf("context %v next %d mismatch", n.Label(), s)
+				if t1.NextCount(m, s) != union.NextCount(x, s) {
+					t.Fatalf("context %v next %d mismatch", union.Label(x), s)
 				}
 			}
 			return true
@@ -116,14 +116,14 @@ func TestInsertCountsMatchesInsert(t *testing.T) {
 	if direct.NumNodes() != manual.NumNodes() {
 		t.Fatalf("nodes %d vs %d", direct.NumNodes(), manual.NumNodes())
 	}
-	direct.Walk(func(n *Node) bool {
-		m := manual.Lookup(n.Label())
-		if m == nil || m.Count != n.Count {
-			t.Fatalf("context %v count mismatch", n.Label())
+	direct.Walk(func(x Slot) bool {
+		m := manual.Lookup(direct.Label(x))
+		if m == NoSlot || manual.Count(m) != direct.Count(x) {
+			t.Fatalf("context %v count mismatch", direct.Label(x))
 		}
 		for s := seq.Symbol(0); s < 3; s++ {
-			if m.NextCount(s) != n.NextCount(s) {
-				t.Fatalf("context %v next mismatch", n.Label())
+			if manual.NextCount(m, s) != direct.NextCount(x, s) {
+				t.Fatalf("context %v next mismatch", direct.Label(x))
 			}
 		}
 		return true
@@ -143,7 +143,7 @@ func TestInsertCountsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := tr.Lookup([]seq.Symbol{1, 0})
-	if n == nil || n.Count != 2 {
+	if n == NoSlot || tr.Count(n) != 2 {
 		t.Fatalf("truncated context not recorded: %+v", n)
 	}
 }

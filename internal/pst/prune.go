@@ -1,9 +1,5 @@
 package pst
 
-import (
-	"container/heap"
-)
-
 // Pruning (paper §5.1). Eviction proceeds bottom-up over current leaves —
 // evicting a leaf may expose its parent as the next candidate — driven by a
 // min-heap whose ordering encodes the chosen strategy:
@@ -21,113 +17,157 @@ import (
 //     presents the strategies in.
 
 type pruneItem struct {
-	n *Node
+	x Slot
 	// key0 orders across tiers (insignificant before significant under
 	// PruneAuto); key1 and key2 order within a tier.
 	key0, key1, key2 float64
 }
 
-type pruneHeap []pruneItem
+// pruneHeap is a binary min-heap of eviction candidates under less.
+type pruneHeap struct {
+	t     *Tree
+	items []pruneItem
+}
 
-func (h pruneHeap) Len() int { return len(h) }
-func (h pruneHeap) Less(i, j int) bool {
-	if h[i].key0 != h[j].key0 {
-		return h[i].key0 < h[j].key0
+func (h *pruneHeap) less(a, b pruneItem) bool {
+	if a.key0 != b.key0 {
+		return a.key0 < b.key0
 	}
-	if h[i].key1 != h[j].key1 {
-		return h[i].key1 < h[j].key1
+	if a.key1 != b.key1 {
+		return a.key1 < b.key1
 	}
-	if h[i].key2 != h[j].key2 {
-		return h[i].key2 < h[j].key2
+	if a.key2 != b.key2 {
+		return a.key2 < b.key2
 	}
 	// Total-order tie-break on the node's label path. Key ties are common
 	// (symmetric counts, equal depths), and without a deterministic final
-	// comparison the eviction choice among tied leaves depends on heap
-	// insertion order — i.e. on map iteration history — so a capped tree's
-	// surviving node set, and every similarity scored against it, would
-	// vary run to run.
-	return pathCompare(h[i].n, h[j].n) < 0
+	// comparison the eviction choice among tied leaves would depend on
+	// heap insertion order, so a capped tree's surviving node set, and
+	// every similarity scored against it, could vary run to run.
+	return h.t.pathCompare(a.x, b.x) < 0
+}
+
+func (h *pruneHeap) init() {
+	for i := len(h.items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *pruneHeap) push(it pruneItem) {
+	h.items = append(h.items, it)
+	for i := len(h.items) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(h.items[i], h.items[p]) {
+			break
+		}
+		h.items[i], h.items[p] = h.items[p], h.items[i]
+		i = p
+	}
+}
+
+func (h *pruneHeap) pop() pruneItem {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	h.down(0)
+	return top
+}
+
+func (h *pruneHeap) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h.items) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h.items) && h.less(h.items[r], h.items[l]) {
+			m = r
+		}
+		if !h.less(h.items[m], h.items[i]) {
+			return
+		}
+		h.items[i], h.items[m] = h.items[m], h.items[i]
+		i = m
+	}
 }
 
 // pathCompare orders nodes by (depth, label path read root-to-leaf):
 // shallower first, then lexicographic on edge symbols. It returns 0 only
-// for the identical node, so it is a total order over any one tree.
-// Recursion is bounded by the tree's depth cap.
-func pathCompare(a, b *Node) int {
+// for the identical node, so it is a total order over any one tree. Two
+// distinct nodes of equal depth differ first just below their deepest
+// common ancestor, which the upward walk reaches last.
+func (t *Tree) pathCompare(a, b Slot) int {
 	if a == b {
 		return 0
 	}
-	if a.depth != b.depth {
-		return a.depth - b.depth
+	if da, db := t.depth[a], t.depth[b]; da != db {
+		return int(da) - int(db)
 	}
-	if c := pathCompare(a.parent, b.parent); c != 0 {
-		return c
+	c := 0
+	for a != b {
+		if d := int(t.edge[a]) - int(t.edge[b]); d != 0 {
+			c = d
+		}
+		a, b = Slot(t.parent[a]), Slot(t.parent[b])
 	}
-	return int(a.symbol) - int(b.symbol)
-}
-func (h pruneHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pruneHeap) Push(x any)   { *h = append(*h, x.(pruneItem)) }
-func (h *pruneHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return c
 }
 
-func (t *Tree) pruneKey(n *Node) pruneItem {
-	it := pruneItem{n: n}
+func (t *Tree) pruneKey(x Slot) pruneItem {
+	it := pruneItem{x: x}
+	count, depth := float64(t.count[x]), float64(t.depth[x])
 	switch t.cfg.Prune {
 	case PruneMinCount:
-		it.key1 = float64(n.Count)
-		it.key2 = -float64(n.depth)
+		it.key1 = count
+		it.key2 = -depth
 	case PruneLongestLabel:
-		it.key1 = -float64(n.depth)
-		it.key2 = float64(n.Count)
+		it.key1 = -depth
+		it.key2 = count
 	case PruneExpectedVector:
-		it.key1 = variationalDistance(n, n.parent)
-		it.key2 = -float64(n.depth)
+		it.key1 = t.variationalDistance(x)
+		it.key2 = -depth
 	default: // PruneAuto
-		if !t.Significant(n) {
+		if !t.Significant(x) {
 			it.key0 = 0
-			it.key1 = float64(n.Count)
-			it.key2 = -float64(n.depth)
+			it.key1 = count
+			it.key2 = -depth
 		} else {
 			it.key0 = 1
-			it.key1 = variationalDistance(n, n.parent)
-			it.key2 = -float64(n.depth)
+			it.key1 = t.variationalDistance(x)
+			it.key2 = -depth
 		}
 	}
 	return it
 }
 
 // pruneTo evicts leaves until at most target nodes remain. The root is
-// never evicted.
+// never evicted. When the pass leaves more than compactRatio slots per
+// live node, the tree is compacted.
 func (t *Tree) pruneTo(target int) {
 	if target < 1 {
 		target = 1
 	}
 	t.version++
 	t.pruneEvents++
-	h := &pruneHeap{}
-	t.Walk(func(n *Node) bool {
-		if n != t.root && len(n.children) == 0 {
-			*h = append(*h, t.pruneKey(n))
+	h := &pruneHeap{t: t}
+	for x, d := range t.depth {
+		if x != 0 && d != freeDepth && t.runs[x].len == 0 {
+			h.items = append(h.items, t.pruneKey(Slot(x)))
 		}
-		return true
-	})
-	heap.Init(h)
-	for t.numNodes > target && h.Len() > 0 {
-		it := heap.Pop(h).(pruneItem)
-		n := it.n
-		parent := n.parent
-		delete(parent.children, n.symbol)
-		n.parent = nil
-		t.numNodes--
+	}
+	h.init()
+	for t.numNodes > target && len(h.items) > 0 {
+		x := h.pop().x
+		parent := Slot(t.parent[x])
+		t.freeLeaf(x)
 		t.pruned++
-		if parent != t.root && len(parent.children) == 0 {
-			heap.Push(h, t.pruneKey(parent))
+		if parent != t.Root() && t.runs[parent].len == 0 {
+			h.push(t.pruneKey(parent))
 		}
+	}
+	if len(t.depth) > compactRatio*t.numNodes {
+		t.slabs = t.compacted()
 	}
 }
 

@@ -14,19 +14,18 @@ import (
 // same signature regardless of map iteration history.
 func treeSignature(tr *Tree) string {
 	var b strings.Builder
-	tr.Walk(func(n *Node) bool {
-		fmt.Fprintf(&b, "%v:%d;", n.Label(), n.Count)
+	tr.Walk(func(x Slot) bool {
+		fmt.Fprintf(&b, "%v:%d;", tr.Label(x), tr.Count(x))
 		return true
 	})
 	return b.String()
 }
 
 // TestPruneDeterministic rebuilds the same tie-heavy tree from scratch many
-// times and prunes it to half size. Each rebuild allocates fresh children
-// maps, so their iteration order varies run to run; the surviving node set
-// must not. Before Walk visited siblings in sorted order and pruneHeap.Less
-// became a total order, eviction among key-tied leaves followed map
-// iteration history and this test flaked across trials.
+// times and prunes it to half size; the surviving node set must be the
+// same every time. Eviction among key-tied leaves must follow
+// pruneHeap.less's total order on label paths, never the order in which
+// candidates reached the heap.
 func TestPruneDeterministic(t *testing.T) {
 	for _, strategy := range []PruneStrategy{PruneAuto, PruneMinCount, PruneLongestLabel, PruneExpectedVector} {
 		t.Run(strategy.String(), func(t *testing.T) {
@@ -68,12 +67,12 @@ func TestWalkSortedOrder(t *testing.T) {
 
 	var prevPath []seq.Symbol // root-to-node symbol path of the previous visit
 	first := true
-	tr.Walk(func(n *Node) bool {
+	tr.Walk(func(x Slot) bool {
 		// Reconstruct the root-to-node path (Label is oldest-first already
 		// reversed; rebuild explicitly from parent links to be contract-free).
-		path := make([]seq.Symbol, n.Depth())
-		for cur := n; cur.parent != nil; cur = cur.parent {
-			path[cur.depth-1] = cur.symbol
+		path := make([]seq.Symbol, tr.Depth(x))
+		for cur := x; cur != tr.Root(); cur = Slot(tr.parent[cur]) {
+			path[tr.depth[cur]-1] = tr.edge[cur]
 		}
 		if !first && !preOrderLess(prevPath, path) {
 			t.Fatalf("Walk visited %v after %v; want sorted pre-order", path, prevPath)

@@ -31,12 +31,16 @@ func TestMemoryCapEnforced(t *testing.T) {
 	}
 	// The tree must remain structurally sound: every child's parent link
 	// is intact and counts stay monotone.
-	tr.Walk(func(n *Node) bool {
-		for sym, c := range n.children {
-			if c.parent != n || c.symbol != sym {
+	tr.Walk(func(x Slot) bool {
+		syms, slots := tr.kids(x)
+		for i, c := range slots {
+			if Slot(tr.parent[c]) != x || tr.edge[c] != syms[i] {
 				t.Fatal("broken parent/child linkage after pruning")
 			}
-			if c.Count > n.Count {
+			if i > 0 && syms[i-1] >= syms[i] {
+				t.Fatal("child run out of order after pruning")
+			}
+			if tr.Count(Slot(c)) > tr.Count(x) {
 				t.Fatal("count monotonicity violated after pruning")
 			}
 		}
@@ -53,7 +57,7 @@ func TestPruneNeverRemovesRoot(t *testing.T) {
 	if tr.NumNodes() != 1 {
 		t.Fatalf("NumNodes = %d, want 1", tr.NumNodes())
 	}
-	if tr.Root() == nil || tr.Root().Count != 8 {
+	if tr.Count(tr.Root()) != 8 {
 		t.Fatal("root must survive pruning with its count intact")
 	}
 	// Prediction still works, falling back to the root distribution.
@@ -75,8 +79,7 @@ func TestPruneMinCountKeepsHighCountNodes(t *testing.T) {
 		t.Fatalf("NumNodes = %d (before %d), want ≤ 5", tr.NumNodes(), before)
 	}
 	// The all-a spine has the highest counts and must survive.
-	n := tr.Lookup([]seq.Symbol{0})
-	if n == nil {
+	if tr.Lookup([]seq.Symbol{0}) == NoSlot {
 		t.Fatal("highest-count context \"a\" was pruned before rarer ones")
 	}
 }
@@ -88,10 +91,8 @@ func TestPruneLongestLabelKeepsShallowNodes(t *testing.T) {
 	tr.Insert(syms)
 	tr.Prune(3) // root + the two depth-1 contexts
 	maxDepth := 0
-	tr.Walk(func(n *Node) bool {
-		if n.Depth() > maxDepth {
-			maxDepth = n.Depth()
-		}
+	tr.Walk(func(x Slot) bool {
+		maxDepth = max(maxDepth, tr.Depth(x))
 		return true
 	})
 	if maxDepth > 1 {
@@ -105,20 +106,19 @@ func TestPruneExpectedVectorKeepsSurprisingNodes(t *testing.T) {
 	// sharply. Expected-vector pruning must evict "aa" first.
 	tr := MustNew(Config{AlphabetSize: 2, MaxDepth: 2, Significance: 1, Prune: PruneExpectedVector})
 	root := tr.Root()
-	root.Count = 100
-	root.next[0], root.next[1] = 50, 50
+	tr.setCounts(root, 100, 50, 50)
 	na := tr.ensureChild(root, 0)
-	na.Count, na.next[0], na.next[1] = 60, 30, 30
+	tr.setCounts(na, 60, 30, 30)
 	naa := tr.ensureChild(na, 0) // context "aa": same 50/50 split as "a"
-	naa.Count, naa.next[0], naa.next[1] = 30, 15, 15
+	tr.setCounts(naa, 30, 15, 15)
 	nba := tr.ensureChild(na, 1) // context "ba": extreme split
-	nba.Count, nba.next[0], nba.next[1] = 30, 29, 1
+	tr.setCounts(nba, 30, 29, 1)
 
 	tr.Prune(3)
-	if tr.Lookup([]seq.Symbol{0, 0}) != nil {
+	if tr.Lookup([]seq.Symbol{0, 0}) != NoSlot {
 		t.Fatal("expected-vector pruning should evict the redundant context aa")
 	}
-	if tr.Lookup([]seq.Symbol{1, 0}) == nil {
+	if tr.Lookup([]seq.Symbol{1, 0}) == NoSlot {
 		t.Fatal("the surprising context ba must survive")
 	}
 }
@@ -126,18 +126,17 @@ func TestPruneExpectedVectorKeepsSurprisingNodes(t *testing.T) {
 func TestPruneAutoEvictsInsignificantFirst(t *testing.T) {
 	tr := MustNew(Config{AlphabetSize: 2, MaxDepth: 2, Significance: 20, Prune: PruneAuto})
 	root := tr.Root()
-	root.Count = 100
-	root.next[0], root.next[1] = 50, 50
+	tr.setCounts(root, 100, 50, 50)
 	big := tr.ensureChild(root, 0) // significant leaf
-	big.Count, big.next[0] = 50, 25
+	tr.setCounts(big, 50, 25)
 	small := tr.ensureChild(root, 1) // insignificant leaf
-	small.Count, small.next[0] = 5, 2
+	tr.setCounts(small, 5, 2)
 
 	tr.Prune(2)
-	if tr.Lookup([]seq.Symbol{1}) != nil {
+	if tr.Lookup([]seq.Symbol{1}) != NoSlot {
 		t.Fatal("auto pruning must evict the insignificant node first")
 	}
-	if tr.Lookup([]seq.Symbol{0}) == nil {
+	if tr.Lookup([]seq.Symbol{0}) == NoSlot {
 		t.Fatal("the significant node must survive")
 	}
 }

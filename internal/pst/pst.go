@@ -137,35 +137,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Node is one PST node. Exported fields are read-only for callers.
-type Node struct {
-	parent   *Node
-	children map[seq.Symbol]*Node
-	symbol   seq.Symbol // edge symbol from parent (one more context symbol back in time)
-	depth    int
-
-	// Count is the number of occurrences of this node's context.
-	Count int64
-	// next[s] counts occurrences of the context immediately followed by s.
-	next []int64
-}
-
-// Depth returns the node's context length.
-func (n *Node) Depth() int { return n.depth }
-
-// Label reconstructs the node's context in original (unreversed) symbol
-// order. The root's label is empty.
-func (n *Node) Label() []seq.Symbol {
-	out := make([]seq.Symbol, n.depth)
-	for cur, i := n, 0; cur.parent != nil; cur, i = cur.parent, i+1 {
-		out[i] = cur.symbol
-	}
-	return out
-}
-
-// NextCount returns the occurrence count of context·s.
-func (n *Node) NextCount(s seq.Symbol) int64 { return n.next[s] }
-
 // Tree is a probabilistic suffix tree.
 //
 // # Concurrency
@@ -174,20 +145,22 @@ func (n *Node) NextCount(s seq.Symbol) int64 { return n.next[s] }
 // Similarity, Predict, PredictionNode, Lookup, Walk, Stats, Version,
 // and friends — may be called from any number of goroutines
 // simultaneously, provided no mutating method (Insert, InsertCounts,
-// Merge, Prune) runs concurrently with them. This read-only contract is
-// what the clustering engine's parallel scoring phase relies on: cluster
-// trees are frozen while workers score sequences against them, and all
-// tree updates happen in a serial apply phase. (The background-log
-// memoization inside the similarity scans is an atomic immutable
-// publish — lock-free for readers — and does not break the contract.)
+// Merge, Prune) runs concurrently with them. The clustering engine
+// relies on exactly this: workers score sequences against frozen cluster
+// trees, and in the apply phase each tree is mutated by one task at a
+// time, which also owns every read of that tree while it runs. (The
+// background-log memoization inside the similarity scans is an atomic
+// immutable publish — lock-free for readers — and does not break the
+// contract.)
 //
 // Version exposes a monotonic mutation counter so callers can detect,
 // cheaply and exactly, whether a tree changed between two observations —
 // the key the engine's similarity cache is stamped with.
 type Tree struct {
-	cfg      Config
-	root     *Node
-	numNodes int
+	cfg Config
+
+	slabs        // node storage, root at slot 0 (see slab.go)
+	numNodes int // live nodes, root included
 
 	// version counts mutations; see Version. It starts at 1 so that a
 	// zero-valued cache stamp can never match a live tree.
@@ -213,16 +186,16 @@ func New(cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t := &Tree{
-		cfg:     cfg,
-		root:    &Node{next: make([]int64, cfg.AlphabetSize)},
-		version: 1,
+		cfg:      cfg,
+		slabs:    rootSlabs(cfg.AlphabetSize),
+		numNodes: 1,
+		version:  1,
 	}
-	t.numNodes = 1
-	// Estimated footprint of one node: struct header and bookkeeping
-	// (~88 bytes), the next-count vector, and amortized child-map space.
-	// The estimate fixes how many nodes a MaxBytes cap admits, so it is
-	// part of every capped tree's shape and stays put when Node's
-	// layout changes.
+	// Estimated footprint of one node, fixed when nodes were heap objects
+	// with child maps: an ~88-byte header, the next-count vector and ~48
+	// bytes of amortized map space. The estimate fixes how many nodes a
+	// MaxBytes cap admits, so it is part of every capped tree's shape and
+	// stays put although the slabs hold a node in about 8n+40 bytes.
 	t.nodeBytes = 88 + 8*cfg.AlphabetSize + 48
 	if cfg.MaxBytes > 0 {
 		t.maxNodes = cfg.MaxBytes / t.nodeBytes
@@ -245,9 +218,32 @@ func MustNew(cfg Config) *Tree {
 // Config returns the tree's effective configuration (defaults applied).
 func (t *Tree) Config() Config { return t.cfg }
 
-// Root returns the root node, whose Count is the total number of symbols
-// inserted (the "overall size of the sequence cluster" of §3).
-func (t *Tree) Root() *Node { return t.root }
+// Root returns the root's slot, always 0. The root's Count is the total
+// number of symbols inserted (the "overall size of the sequence cluster"
+// of §3).
+//
+//cluseq:hotpath
+func (t *Tree) Root() Slot { return 0 }
+
+// Count returns the number of occurrences of node x's context.
+func (t *Tree) Count(x Slot) int64 { return t.count[x] }
+
+// NextCount returns the occurrence count of node x's context followed by
+// s.
+func (t *Tree) NextCount(x Slot, s seq.Symbol) int64 { return t.nextRow(x)[s] }
+
+// Depth returns node x's context length.
+func (t *Tree) Depth(x Slot) int { return int(t.depth[x]) }
+
+// Label reconstructs node x's context in original (unreversed) symbol
+// order. The root's label is empty.
+func (t *Tree) Label(x Slot) []seq.Symbol {
+	out := make([]seq.Symbol, t.depth[x])
+	for i := 0; x != 0; x, i = Slot(t.parent[x]), i+1 {
+		out[i] = t.edge[x]
+	}
+	return out
+}
 
 // NumNodes returns the current number of nodes including the root.
 func (t *Tree) NumNodes() int { return t.numNodes }
@@ -279,38 +275,18 @@ func (t *Tree) Version() uint64 { return t.version }
 // TotalSymbols returns the total number of symbols inserted.
 func (t *Tree) TotalSymbols() int64 { return t.insertions }
 
-// lookupChild returns n's child along edge symbol s, or nil. It is
+// lookupChild returns x's child along edge symbol s, or NoSlot. It is
 // read-only and therefore safe on the frozen trees of the parallel
 // scoring phase; every read-side walk (estimation, lookup) goes through
 // it.
 //
 //cluseq:hotpath
-func (t *Tree) lookupChild(n *Node, s seq.Symbol) *Node {
-	if n.children == nil {
-		return nil
+func (t *Tree) lookupChild(x Slot, s seq.Symbol) Slot {
+	r := t.runs[x]
+	if i, ok := searchRun(t.kidSym[r.off:r.off+r.len], s); ok {
+		return Slot(t.kidSlot[int(r.off)+i])
 	}
-	return n.children[s] //cluseq:allow hotpath: the tree-shaped fallback scan descends the child map; the compiled snapshot path replaces it with flat arrays
-}
-
-// ensureChild returns n's child along edge symbol s, creating it when
-// absent. It mutates the tree, so only the serial construction paths
-// (Insert, InsertCounts, Merge) may call it.
-func (t *Tree) ensureChild(n *Node, s seq.Symbol) *Node {
-	if c := t.lookupChild(n, s); c != nil {
-		return c
-	}
-	if n.children == nil {
-		n.children = make(map[seq.Symbol]*Node, 2)
-	}
-	c := &Node{
-		parent: n,
-		symbol: s,
-		depth:  n.depth + 1,
-		next:   make([]int64, t.cfg.AlphabetSize),
-	}
-	n.children[s] = c
-	t.numNodes++
-	return c
+	return NoSlot
 }
 
 // Insert adds one segment's statistics to the tree. This is the operation
@@ -325,27 +301,27 @@ func (t *Tree) Insert(segment []seq.Symbol) {
 	if l == 0 {
 		return
 	}
-	L := t.cfg.MaxDepth
+	L, n := t.cfg.MaxDepth, t.cfg.AlphabetSize
 	for i := 0; i < l; i++ {
 		sym := segment[i]
 		// The empty context: the root's count is the total symbol count.
-		t.root.Count++
-		t.root.next[sym]++
-		n := t.root
+		t.count[0]++
+		t.pages[0][sym]++
+		x := t.Root()
 		for d := 1; d <= L && i-d >= 0; d++ {
-			n = t.ensureChild(n, segment[i-d])
-			n.Count++
-			n.next[sym]++
+			x = t.ensureChild(x, segment[i-d])
+			t.count[x]++
+			t.pages[x>>pageShift][int(x&pageMask)*n+int(sym)]++
 		}
 	}
 	// Contexts ending at the final position occur without a successor;
 	// count the occurrences so that Count is the exact occurrence count of
 	// every label (§3: "a count C is associated with each node to record
 	// the number of occurrences of its label").
-	n := t.root
+	x := t.Root()
 	for d := 1; d <= L && l-d >= 0; d++ {
-		n = t.ensureChild(n, segment[l-d])
-		n.Count++
+		x = t.ensureChild(x, segment[l-d])
+		t.count[x]++
 	}
 	t.insertions += int64(l)
 	t.version++
@@ -373,45 +349,46 @@ func (t *Tree) EffectiveSignificance() int {
 	return s
 }
 
-// Significant reports whether node n meets the significance threshold.
+// Significant reports whether node x meets the significance threshold.
 // The root is significant by definition once anything has been inserted.
 //
 //cluseq:hotpath
-func (t *Tree) Significant(n *Node) bool {
-	if n == t.root {
+func (t *Tree) Significant(x Slot) bool {
+	if x == t.Root() {
 		return true
 	}
-	return n.Count >= int64(t.EffectiveSignificance())
+	return t.count[x] >= int64(t.EffectiveSignificance())
 }
 
 // PredictionNode locates the node whose label is the longest significant
 // suffix of the given context (paper §3): it walks from the root along the
 // reversed context and stops where a further advance would reach a missing
-// or insignificant node. It never returns nil; with an empty tree it
+// or insignificant node. It never returns NoSlot; with an empty tree it
 // returns the root.
 //
 //cluseq:hotpath
-func (t *Tree) PredictionNode(context []seq.Symbol) *Node {
-	n := t.root
+func (t *Tree) PredictionNode(context []seq.Symbol) Slot {
+	x := t.Root()
 	L := t.cfg.MaxDepth
+	sig := int64(t.EffectiveSignificance())
 	for d := 1; d <= len(context) && d <= L; d++ {
-		c := t.lookupChild(n, context[len(context)-d])
-		if c == nil || !t.Significant(c) {
+		c := t.lookupChild(x, context[len(context)-d])
+		if c == NoSlot || t.count[c] < sig {
 			break
 		}
-		n = c
+		x = c
 	}
-	return n
+	return x
 }
 
-// prob returns the raw empirical probability stored at node n for symbol s.
+// prob returns the raw empirical probability stored at node x for symbol s.
 //
 //cluseq:hotpath
-func (t *Tree) prob(n *Node, s seq.Symbol) float64 {
-	if n.Count == 0 {
+func (t *Tree) prob(x Slot, s seq.Symbol) float64 {
+	if t.count[x] == 0 {
 		return 0
 	}
-	return float64(n.next[s]) / float64(n.Count)
+	return float64(t.nextRow(x)[s]) / float64(t.count[x])
 }
 
 // Predict estimates P(s | context), applying the §5.2 adjustment when
@@ -440,17 +417,17 @@ func (t *Tree) estimate(context []seq.Symbol, s seq.Symbol) float64 {
 //
 //cluseq:hotpath
 func (t *Tree) predictShrunk(context []seq.Symbol, s seq.Symbol) float64 {
-	n := t.root
-	b := t.prob(n, s)
+	x := t.Root()
+	b := t.prob(x, s)
 	kappa := t.cfg.Shrinkage
 	L := t.cfg.MaxDepth
 	for d := 1; d <= len(context) && d <= L; d++ {
-		c := t.lookupChild(n, context[len(context)-d])
-		if c == nil {
+		c := t.lookupChild(x, context[len(context)-d])
+		if c == NoSlot {
 			break
 		}
-		b = (float64(c.next[s]) + kappa*b) / (float64(c.Count) + kappa)
-		n = c
+		b = (float64(t.nextRow(c)[s]) + kappa*b) / (float64(t.count[c]) + kappa)
+		x = c
 	}
 	return b
 }
@@ -465,50 +442,36 @@ func (t *Tree) adjust(p float64) float64 {
 	return (1-float64(t.cfg.AlphabetSize)*t.cfg.PMin)*p + t.cfg.PMin
 }
 
-// Lookup returns the node labeled exactly with the given context, or nil.
-// Unlike PredictionNode it does not stop at insignificant nodes; it is the
-// exact-retrieval primitive used by tests and diagnostics.
-func (t *Tree) Lookup(context []seq.Symbol) *Node {
-	n := t.root
-	for d := 1; d <= len(context); d++ {
-		n = t.lookupChild(n, context[len(context)-d])
-		if n == nil {
-			return nil
-		}
+// Lookup returns the node labeled exactly with the given context, or
+// NoSlot. Unlike PredictionNode it does not stop at insignificant nodes;
+// it is the exact-retrieval primitive used by tests and diagnostics.
+func (t *Tree) Lookup(context []seq.Symbol) Slot {
+	x := t.Root()
+	for d := 1; d <= len(context) && x != NoSlot; d++ {
+		x = t.lookupChild(x, context[len(context)-d])
 	}
-	return n
+	return x
 }
 
 // Walk visits every node in depth-first pre-order, siblings in ascending
 // edge-symbol order, so the traversal is deterministic for a given tree
-// state. The visit function returns false to stop early.
+// state. The visit function returns false to stop early; it must not
+// mutate the tree.
 //
-// Determinism here matters beyond tidy output: pruneTo seeds its eviction
-// heap through Walk, and a map-order traversal fed equally-keyed
-// candidates to the heap in a different order on every run, making the
-// evicted set — and every similarity computed against the pruned tree —
-// run-dependent whenever the memory cap fired.
-func (t *Tree) Walk(visit func(*Node) bool) {
-	stack := []*Node{t.root}
-	var syms []seq.Symbol
+// Save writes nodes in this order, so two trees with equal contents
+// serialize to equal bytes.
+func (t *Tree) Walk(visit func(Slot) bool) {
+	stack := []Slot{t.Root()}
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if !visit(n) {
+		if !visit(x) {
 			return
 		}
-		syms = syms[:0]
-		for s := range n.children {
-			syms = append(syms, s)
-		}
-		for j := 1; j < len(syms); j++ { // insertion sort: child lists are short
-			for k := j; k > 0 && syms[k] < syms[k-1]; k-- {
-				syms[k], syms[k-1] = syms[k-1], syms[k]
-			}
-		}
 		// Push descending so the stack pops children in ascending order.
-		for j := len(syms) - 1; j >= 0; j-- {
-			stack = append(stack, n.children[syms[j]])
+		_, slots := t.kids(x)
+		for j := len(slots) - 1; j >= 0; j-- {
+			stack = append(stack, Slot(slots[j]))
 		}
 	}
 }
@@ -523,7 +486,8 @@ type Stats struct {
 	EstimatedBytes   int
 }
 
-// Stats computes a snapshot of tree statistics.
+// Stats computes a snapshot of tree statistics in one pass over the live
+// slots.
 func (t *Tree) Stats() Stats {
 	s := Stats{
 		Nodes:          t.numNodes,
@@ -531,47 +495,47 @@ func (t *Tree) Stats() Stats {
 		PrunedNodes:    t.pruned,
 		EstimatedBytes: t.EstimatedBytes(),
 	}
-	t.Walk(func(n *Node) bool {
-		if t.Significant(n) {
+	sig := int64(t.EffectiveSignificance())
+	for x, d := range t.depth {
+		if d == freeDepth {
+			continue
+		}
+		if x == 0 || t.count[x] >= sig {
 			s.SignificantNodes++
 		}
-		if n.depth > s.MaxDepth {
-			s.MaxDepth = n.depth
-		}
-		return true
-	})
+		s.MaxDepth = max(s.MaxDepth, int(d))
+	}
 	return s
 }
 
 // Dump renders the tree as indented text for debugging, decoding symbols
-// through the given alphabet. Nodes appear in no particular sibling order.
+// through the given alphabet, in Walk's order.
 func (t *Tree) Dump(a *seq.Alphabet) string {
 	var b strings.Builder
-	var rec func(n *Node)
-	rec = func(n *Node) {
+	t.Walk(func(x Slot) bool {
 		label := "ε"
-		if n.depth > 0 {
-			label = a.Decode(n.Label())
+		if x != t.Root() {
+			label = a.Decode(t.Label(x))
 		}
-		fmt.Fprintf(&b, "%s%s count=%d next=%v\n", strings.Repeat("  ", n.depth), label, n.Count, n.next)
-		for _, c := range n.children {
-			rec(c)
-		}
-	}
-	rec(t.root)
+		fmt.Fprintf(&b, "%s%s count=%d next=%v\n", strings.Repeat("  ", t.Depth(x)), label, t.count[x], t.nextRow(x))
+		return true
+	})
 	return b.String()
 }
 
-// variationalDistance is Σ|P1(s) − P2(s)| over the alphabet, the distance
-// the §5.1 "expected probability vector" strategy compares with.
-func variationalDistance(n, parent *Node) float64 {
-	if n.Count == 0 || parent.Count == 0 {
+// variationalDistance is Σ|P1(s) − P2(s)| over the alphabet between node
+// x and its parent, the distance the §5.1 "expected probability vector"
+// strategy compares with.
+func (t *Tree) variationalDistance(x Slot) float64 {
+	p := Slot(t.parent[x])
+	if t.count[x] == 0 || t.count[p] == 0 {
 		return 0 // indistinguishable from expected: prune first
 	}
 	d := 0.0
-	for s := range n.next {
-		p1 := float64(n.next[s]) / float64(n.Count)
-		p2 := float64(parent.next[s]) / float64(parent.Count)
+	row, prow := t.nextRow(x), t.nextRow(p)
+	for s := range row {
+		p1 := float64(row[s]) / float64(t.count[x])
+		p2 := float64(prow[s]) / float64(t.count[p])
 		d += math.Abs(p1 - p2)
 	}
 	return d

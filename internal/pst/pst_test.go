@@ -58,8 +58,8 @@ func TestRootCountIsTotalSymbols(t *testing.T) {
 	tr.Insert(encode(t, a, "abba"))
 	tr.Insert(encode(t, a, "ab"))
 	// §3: the root count records the overall cluster size.
-	if tr.Root().Count != 6 {
-		t.Fatalf("root count = %d, want 6", tr.Root().Count)
+	if got := tr.Count(tr.Root()); got != 6 {
+		t.Fatalf("root count = %d, want 6", got)
 	}
 	if tr.TotalSymbols() != 6 {
 		t.Fatalf("TotalSymbols = %d, want 6", tr.TotalSymbols())
@@ -78,13 +78,13 @@ func TestNodeCountsMatchOccurrences(t *testing.T) {
 	st.Add(encode(t, a, text))
 
 	checked := 0
-	tr.Walk(func(n *Node) bool {
-		if n.Depth() == 0 {
+	tr.Walk(func(x Slot) bool {
+		if tr.Depth(x) == 0 {
 			return true
 		}
-		label := n.Label()
-		if want := int64(st.Count(label)); n.Count != want {
-			t.Errorf("context %q: count = %d, suffix tree says %d", a.Decode(label), n.Count, want)
+		label := tr.Label(x)
+		if want := int64(st.Count(label)); tr.Count(x) != want {
+			t.Errorf("context %q: count = %d, suffix tree says %d", a.Decode(label), tr.Count(x), want)
 		}
 		checked++
 		return true
@@ -104,11 +104,11 @@ func TestNextCountsMatchOccurrences(t *testing.T) {
 	tr.Insert(encode(t, a, text))
 	st.Add(encode(t, a, text))
 
-	tr.Walk(func(n *Node) bool {
-		label := n.Label()
+	tr.Walk(func(x Slot) bool {
+		label := tr.Label(x)
 		for s := seq.Symbol(0); s < 3; s++ {
 			extended := append(append([]seq.Symbol{}, label...), s)
-			if got, want := n.NextCount(s), int64(st.Count(extended)); got != want {
+			if got, want := tr.NextCount(x, s), int64(st.Count(extended)); got != want {
 				t.Errorf("context %q next %q: count = %d, suffix tree says %d", a.Decode(label), string(a.Rune(s)), got, want)
 			}
 		}
@@ -134,9 +134,10 @@ func TestCountsMonotoneWithDepth(t *testing.T) {
 		}
 		tr.Insert(syms)
 		ok := true
-		tr.Walk(func(n *Node) bool {
-			for _, c := range n.children {
-				if c.Count > n.Count {
+		tr.Walk(func(x Slot) bool {
+			_, slots := tr.kids(x)
+			for _, c := range slots {
+				if tr.Count(Slot(c)) > tr.Count(x) {
 					ok = false
 					return false
 				}
@@ -156,13 +157,13 @@ func TestProbabilityVectorsSumCorrectly(t *testing.T) {
 	a := seq.MustAlphabet("ab")
 	tr := MustNew(Config{AlphabetSize: 2, MaxDepth: 4, Significance: 1})
 	tr.Insert(encode(t, a, "ababab"))
-	tr.Walk(func(n *Node) bool {
+	tr.Walk(func(x Slot) bool {
 		var sum int64
 		for s := seq.Symbol(0); s < 2; s++ {
-			sum += n.NextCount(s)
+			sum += tr.NextCount(x, s)
 		}
-		if sum > n.Count {
-			t.Errorf("context %q: next counts sum %d exceeds count %d", a.Decode(n.Label()), sum, n.Count)
+		if sum > tr.Count(x) {
+			t.Errorf("context %q: next counts sum %d exceeds count %d", a.Decode(tr.Label(x)), sum, tr.Count(x))
 		}
 		return true
 	})
@@ -170,8 +171,8 @@ func TestProbabilityVectorsSumCorrectly(t *testing.T) {
 	// end — wait, "ababab" ends in b, so b occurs 3 times, followed by a
 	// twice.
 	n := tr.Lookup(encode(t, a, "b"))
-	if n == nil || n.Count != 3 || n.NextCount(0) != 2 || n.NextCount(1) != 0 {
-		t.Fatalf("context b: %+v", n)
+	if n == NoSlot || tr.Count(n) != 3 || tr.NextCount(n, 0) != 2 || tr.NextCount(n, 1) != 0 {
+		t.Fatalf("context b: slot %d", n)
 	}
 }
 
@@ -183,20 +184,20 @@ func TestPredictionNodeLongestSignificantSuffix(t *testing.T) {
 	// "ba" appears 4 times; "bba" only once.
 	tr.Insert(encode(t, a, "babababbab"))
 	nBA := tr.Lookup(encode(t, a, "ba"))
-	if nBA == nil || !tr.Significant(nBA) {
-		t.Fatalf("context ba should be significant: %+v", nBA)
+	if nBA == NoSlot || !tr.Significant(nBA) {
+		t.Fatalf("context ba should be significant: slot %d", nBA)
 	}
 	nBBA := tr.Lookup(encode(t, a, "bba"))
-	if nBBA == nil || tr.Significant(nBBA) {
-		t.Fatalf("context bba should exist and be insignificant: %+v", nBBA)
+	if nBBA == NoSlot || tr.Significant(nBBA) {
+		t.Fatalf("context bba should exist and be insignificant: slot %d", nBBA)
 	}
 	got := tr.PredictionNode(encode(t, a, "bba"))
 	if got != nBA {
-		t.Fatalf("PredictionNode(bba) = %q, want ba", a.Decode(got.Label()))
+		t.Fatalf("PredictionNode(bba) = %q, want ba", a.Decode(tr.Label(got)))
 	}
 	// A fully significant context is its own prediction node (footnote 7).
 	if got := tr.PredictionNode(encode(t, a, "ba")); got != nBA {
-		t.Fatalf("PredictionNode(ba) = %q, want ba itself", a.Decode(got.Label()))
+		t.Fatalf("PredictionNode(ba) = %q, want ba itself", a.Decode(tr.Label(got)))
 	}
 	// Unknown first symbol: falls back to the root.
 	if got := tr.PredictionNode(nil); got != tr.Root() {
@@ -255,28 +256,21 @@ func TestPaperTable1(t *testing.T) {
 	// Hand-wire the counts rather than inserting data: the test pins the
 	// arithmetic of the DP, not the counting (covered elsewhere).
 	root := tr.Root()
-	root.Count = 1000
-	root.next[0] = 450 // P(a) = 0.45
-	root.next[1] = 550 // P(b) = 0.55
+	tr.setCounts(root, 1000, 450, 550) // P(a) = 0.45, P(b) = 0.55
 
 	nb := tr.ensureChild(root, 1) // context "b"
-	nb.Count = 550
-	nb.next[0] = 320             // P(a|b)
-	nb.next[1] = 230             // P(b|b) = 0.41818… ≈ 0.418
+	// P(a|b), then P(b|b) = 0.41818… ≈ 0.418
+	tr.setCounts(nb, 550, 320, 230)
 	nbb := tr.ensureChild(nb, 1) // context "bb"
-	nbb.Count = 230
-	nbb.next[0] = 200 // P(a|bb) = 0.8696 ≈ 0.87
-	nbb.next[1] = 30
+	// P(a|bb) = 0.8696 ≈ 0.87
+	tr.setCounts(nbb, 230, 200, 30)
 
 	// Context "ba" is reached root→a→b: child(child(root, 'a'), 'b').
 	na := tr.ensureChild(root, 0) // context "a"
-	na.Count = 450
-	na.next[0] = 250
-	na.next[1] = 200
+	tr.setCounts(na, 450, 250, 200)
 	nBA := tr.ensureChild(na, 1) // context "ba"
-	nBA.Count = 320
-	nBA.next[0] = 130 // P(a|ba) = 0.40625 ≈ 0.406
-	nBA.next[1] = 190 // P(b|ba) = 0.59375 ≈ 0.594
+	// P(a|ba) = 0.40625 ≈ 0.406, P(b|ba) = 0.59375 ≈ 0.594
+	tr.setCounts(nBA, 320, 130, 190)
 
 	background := []float64{0.6, 0.4}
 	syms := encode(t, a, "bbaa")
@@ -401,10 +395,8 @@ func TestMaxDepthRespected(t *testing.T) {
 	tr := MustNew(Config{AlphabetSize: 2, MaxDepth: 3, Significance: 1})
 	tr.Insert(encode(t, a, "abababababab"))
 	maxDepth := 0
-	tr.Walk(func(n *Node) bool {
-		if n.Depth() > maxDepth {
-			maxDepth = n.Depth()
-		}
+	tr.Walk(func(x Slot) bool {
+		maxDepth = max(maxDepth, tr.Depth(x))
 		return true
 	})
 	if maxDepth != 3 {
@@ -415,7 +407,7 @@ func TestMaxDepthRespected(t *testing.T) {
 func TestInsertEmptySegment(t *testing.T) {
 	tr := MustNew(Config{AlphabetSize: 2})
 	tr.Insert(nil)
-	if tr.Root().Count != 0 || tr.NumNodes() != 1 {
+	if tr.Count(tr.Root()) != 0 || tr.NumNodes() != 1 {
 		t.Fatal("inserting an empty segment must be a no-op")
 	}
 }
@@ -426,14 +418,14 @@ func TestLabelRoundTrip(t *testing.T) {
 	tr.Insert(encode(t, a, "abcdabcd"))
 	want := encode(t, a, "bcd")
 	n := tr.Lookup(want)
-	if n == nil {
+	if n == NoSlot {
 		t.Fatal("context bcd missing")
 	}
-	if got := a.Decode(n.Label()); got != "bcd" {
+	if got := a.Decode(tr.Label(n)); got != "bcd" {
 		t.Fatalf("Label = %q, want bcd", got)
 	}
-	if n.Depth() != 3 {
-		t.Fatalf("Depth = %d, want 3", n.Depth())
+	if tr.Depth(n) != 3 {
+		t.Fatalf("Depth = %d, want 3", tr.Depth(n))
 	}
 }
 

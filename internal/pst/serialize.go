@@ -2,12 +2,10 @@ package pst
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"cluseq/internal/seq"
 )
@@ -25,25 +23,26 @@ import (
 var magic = []byte("PSTv1\n")
 
 // Clone returns a deep copy of the tree: identical configuration,
-// structure, and counts, sharing no mutable state with the original.
-// Implemented as a Save/Load round trip, so the copy is exactly the tree
-// a bundle reader would reconstruct — Similarity over the clone is
-// bit-identical to the original at the moment of cloning. The clone's
-// Version restarts (it is a fresh tree), so snapshots compiled from the
-// original do not validate against it. The streaming engine clones each
-// cluster tree at snapshot-publication time so the published classifier
-// is immutable while the live tree keeps absorbing the stream.
+// structure and counts in freshly allocated, compacted slabs, sharing no
+// mutable state with the original. The copy matches what a Save/Load
+// round trip would rebuild on every observable — Similarity over the
+// clone is bit-identical to the original at the moment of cloning — and
+// like a loaded tree it starts at Version 1 with no prune events and its
+// own ln(background) memo, so snapshots compiled from the original do not
+// validate against it. The streaming engine clones each cluster tree at
+// snapshot-publication time so the published classifier is immutable
+// while the live tree keeps absorbing the stream.
 func (t *Tree) Clone() *Tree {
-	var buf bytes.Buffer
-	if err := t.Save(&buf); err != nil {
-		// Save into a bytes.Buffer cannot fail with a well-formed tree.
-		panic(fmt.Sprintf("pst: cloning tree: %v", err))
+	return &Tree{
+		cfg:        t.cfg,
+		slabs:      t.compacted(),
+		numNodes:   t.numNodes,
+		version:    1,
+		nodeBytes:  t.nodeBytes,
+		maxNodes:   t.maxNodes,
+		insertions: t.insertions,
+		pruned:     t.pruned,
 	}
-	nt, err := Load(&buf)
-	if err != nil {
-		panic(fmt.Sprintf("pst: reloading cloned tree: %v", err))
-	}
-	return nt
 }
 
 // Save writes the tree to w in the binary format.
@@ -64,7 +63,34 @@ func (t *Tree) Save(w io.Writer) error {
 			return err
 		}
 	}
-	if err := t.saveNode(bw, t.root); err != nil {
+	// Nodes in Walk's pre-order, each as (edge symbol, count, non-zero
+	// entry count, child count, then the non-zero (symbol, count) pairs);
+	// sorted child runs make the output byte-reproducible.
+	var buf []byte
+	le := binary.LittleEndian
+	var err error
+	t.Walk(func(x Slot) bool {
+		row := t.nextRow(x)
+		nonZero := uint32(0)
+		for _, c := range row {
+			if c != 0 {
+				nonZero++
+			}
+		}
+		buf = le.AppendUint16(buf[:0], uint16(t.edge[x]))
+		buf = le.AppendUint64(buf, uint64(t.count[x]))
+		buf = le.AppendUint32(buf, nonZero)
+		buf = le.AppendUint32(buf, uint32(t.runs[x].len))
+		for s, c := range row {
+			if c != 0 {
+				buf = le.AppendUint16(buf, uint16(s))
+				buf = le.AppendUint64(buf, uint64(c))
+			}
+		}
+		_, err = bw.Write(buf)
+		return err == nil
+	})
+	if err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -75,43 +101,6 @@ func boolByte(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-func (t *Tree) saveNode(w io.Writer, n *Node) error {
-	nonZero := uint32(0)
-	for _, c := range n.next {
-		if c != 0 {
-			nonZero++
-		}
-	}
-	for _, v := range []any{uint16(n.symbol), n.Count, nonZero, uint32(len(n.children))} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for s, c := range n.next {
-		if c == 0 {
-			continue
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint16(s)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, c); err != nil {
-			return err
-		}
-	}
-	// Children sorted by symbol for byte-reproducible output.
-	syms := make([]seq.Symbol, 0, len(n.children))
-	for s := range n.children {
-		syms = append(syms, s)
-	}
-	sort.Slice(syms, func(i, j int) bool { return syms[i] < syms[j] })
-	for _, s := range syms {
-		if err := t.saveNode(w, n.children[s]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Load reads a tree previously written by Save.
@@ -176,17 +165,30 @@ func Load(r io.Reader) (*Tree, error) {
 	}
 	t.insertions = insertions
 	t.pruned = pruned
-	remaining := numNodes
-	root, err := t.loadNode(br, nil, 0, numNodes, &remaining)
-	if err != nil {
+	if err := t.loadNodes(br, numNodes); err != nil {
 		return nil, err
 	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("pst: node count mismatch: %d unread", remaining)
-	}
-	t.root = root
-	t.numNodes = int(numNodes)
 	return t, nil
+}
+
+// nodeHeaderBytes is the fixed prefix of every serialized node: edge
+// symbol (uint16), count (int64), non-zero entry count (uint32) and child
+// count (uint32).
+const nodeHeaderBytes = 2 + 8 + 4 + 4
+
+// nodeFieldAt names the node-header field that a read stopping after got
+// bytes was in.
+func nodeFieldAt(got int) string {
+	switch {
+	case got < 2:
+		return "edge symbol"
+	case got < 10:
+		return "count"
+	case got < 14:
+		return "next-entry count"
+	default:
+		return "child count"
+	}
 }
 
 // maxLoadNodes bounds the node count a header may declare; anything
@@ -194,72 +196,94 @@ func Load(r io.Reader) (*Tree, error) {
 // >100 GB tree — far beyond any legitimate bundle.)
 const maxLoadNodes = int64(1) << 31
 
-func (t *Tree) loadNode(r io.Reader, parent *Node, depth int, total int64, remaining *int64) (*Node, error) {
-	if *remaining <= 0 {
-		return nil, fmt.Errorf("pst: more nodes in stream than the %d the header declared", total)
-	}
-	*remaining--
-	idx := total - *remaining - 1 // pre-order index of this node, for errors
-	if depth > t.cfg.MaxDepth {
-		return nil, fmt.Errorf("pst: node %d: depth %d exceeds MaxDepth %d", idx, depth, t.cfg.MaxDepth)
-	}
-	var (
-		sym      uint16
-		count    int64
-		nonZero  uint32
+// loadNodes reads the pre-order node stream of a tree whose header
+// declared total nodes into t, which holds only its root. Children may
+// arrive in any symbol order; each lands at its sorted place in its
+// parent's run.
+func (t *Tree) loadNodes(r io.Reader, total int64) error {
+	// Each open entry is a node still owed children by the stream.
+	type open struct {
+		x        Slot
+		idx      int64 // pre-order index, for errors
 		children uint32
-	)
-	nodeFields := []struct {
-		name string
-		v    any
-	}{{"edge symbol", &sym}, {"count", &count}, {"next-entry count", &nonZero}, {"child count", &children}}
-	for _, f := range nodeFields {
-		if err := binary.Read(r, binary.LittleEndian, f.v); err != nil {
-			return nil, fmt.Errorf("pst: node %d: reading %s: %w", idx, f.name, err)
+	}
+	le := binary.LittleEndian
+	var stack []open
+	for idx := int64(0); idx == 0 || len(stack) > 0; idx++ {
+		if idx >= total {
+			return fmt.Errorf("pst: more nodes in stream than the %d the header declared", total)
 		}
-	}
-	if count < 0 || int64(nonZero) > int64(t.cfg.AlphabetSize) {
-		return nil, fmt.Errorf("pst: node %d: corrupt (count %d, %d next entries, alphabet %d)", idx, count, nonZero, t.cfg.AlphabetSize)
-	}
-	// Every child consumes at least one of the declared remaining nodes,
-	// so a child count beyond that is corrupt; checking here keeps the
-	// pre-sized map allocation proportional to the actual stream.
-	if int64(children) > *remaining {
-		return nil, fmt.Errorf("pst: node %d: declares %d children but only %d nodes remain", idx, children, *remaining)
-	}
-	n := &Node{
-		parent: parent,
-		symbol: seq.Symbol(sym),
-		depth:  depth,
-		Count:  count,
-		next:   make([]int64, t.cfg.AlphabetSize),
-	}
-	for i := uint32(0); i < nonZero; i++ {
-		var s uint16
-		var c int64
-		if err := binary.Read(r, binary.LittleEndian, &s); err != nil {
-			return nil, fmt.Errorf("pst: node %d: reading next entry %d symbol: %w", idx, i, err)
+		var hdr [nodeHeaderBytes]byte
+		if got, err := io.ReadFull(r, hdr[:]); err != nil {
+			return fmt.Errorf("pst: node %d: reading %s: %w", idx, nodeFieldAt(got), err)
 		}
-		if err := binary.Read(r, binary.LittleEndian, &c); err != nil {
-			return nil, fmt.Errorf("pst: node %d: reading next entry %d count: %w", idx, i, err)
-		}
-		if int(s) >= t.cfg.AlphabetSize || c < 0 {
-			return nil, fmt.Errorf("pst: node %d: corrupt next entry (symbol %d, count %d)", idx, s, c)
-		}
-		n.next[s] = c
-	}
-	if children > 0 {
-		n.children = make(map[seq.Symbol]*Node, children)
-		for i := uint32(0); i < children; i++ {
-			child, err := t.loadNode(r, n, depth+1, total, remaining)
-			if err != nil {
-				return nil, err
+		sym := le.Uint16(hdr[0:])
+		count := int64(le.Uint64(hdr[2:]))
+		nonZero := le.Uint32(hdr[10:])
+		children := le.Uint32(hdr[14:])
+		x := t.Root()
+		if idx > 0 {
+			top := &stack[len(stack)-1]
+			parent := top.x
+			if top.children--; top.children == 0 {
+				stack = stack[:len(stack)-1]
 			}
-			if _, dup := n.children[child.symbol]; dup {
-				return nil, fmt.Errorf("pst: node %d: duplicate child symbol %d", idx, child.symbol)
+			if int(sym) >= t.cfg.AlphabetSize {
+				return fmt.Errorf("pst: node %d: edge symbol %d outside alphabet of %d", idx, sym, t.cfg.AlphabetSize)
 			}
-			n.children[child.symbol] = child
+			if int(t.depth[parent]) >= t.cfg.MaxDepth {
+				return fmt.Errorf("pst: node %d: depth %d exceeds MaxDepth %d", idx, t.depth[parent]+1, t.cfg.MaxDepth)
+			}
+			syms, _ := t.kids(parent)
+			i, dup := searchRun(syms, seq.Symbol(sym))
+			if dup {
+				return fmt.Errorf("pst: node %d: duplicate child symbol %d", top.idx, sym)
+			}
+			x = t.newSlot(parent, seq.Symbol(sym))
+			t.insertKid(parent, i, seq.Symbol(sym), x)
+		} else {
+			t.edge[x] = seq.Symbol(sym)
+		}
+		if count < 0 || int64(nonZero) > int64(t.cfg.AlphabetSize) {
+			return fmt.Errorf("pst: node %d: corrupt (count %d, %d next entries, alphabet %d)", idx, count, nonZero, t.cfg.AlphabetSize)
+		}
+		// A context occurs wherever a longer one does, so below depth 1 a
+		// count never exceeds its parent's (the root, always significant,
+		// is exempt: end-of-data observations skip it). Snapshots rely on
+		// the resulting monotone significance to score like the tree.
+		if p := Slot(t.parent[x]); t.depth[x] > 1 && count > t.count[p] {
+			return fmt.Errorf("pst: node %d: count %d exceeds its parent's %d", idx, count, t.count[p])
+		}
+		// Every child consumes one of the declared remaining nodes and
+		// takes a distinct symbol, so a child count beyond either bound
+		// is corrupt; checking here keeps the run reserved below small.
+		if remaining := total - idx - 1; int64(children) > remaining || int(children) > t.cfg.AlphabetSize {
+			return fmt.Errorf("pst: node %d: declares %d children but only %d nodes remain (alphabet %d)", idx, children, remaining, t.cfg.AlphabetSize)
+		}
+		t.count[x] = count
+		row := t.nextRow(x)
+		for i := uint32(0); i < nonZero; i++ {
+			var ent [2 + 8]byte
+			if got, err := io.ReadFull(r, ent[:]); err != nil {
+				field := "symbol"
+				if got >= 2 {
+					field = "count"
+				}
+				return fmt.Errorf("pst: node %d: reading next entry %d %s: %w", idx, i, field, err)
+			}
+			s, c := le.Uint16(ent[0:]), int64(le.Uint64(ent[2:]))
+			if int(s) >= t.cfg.AlphabetSize || c < 0 {
+				return fmt.Errorf("pst: node %d: corrupt next entry (symbol %d, count %d)", idx, s, c)
+			}
+			row[s] = c
+		}
+		if children > 0 {
+			t.growRun(x, int32(children))
+			stack = append(stack, open{x: x, idx: idx, children: children})
 		}
 	}
-	return n, nil
+	if t.numNodes != int(total) {
+		return fmt.Errorf("pst: node count mismatch: %d unread", total-int64(t.numNodes))
+	}
+	return nil
 }

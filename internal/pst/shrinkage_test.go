@@ -15,11 +15,9 @@ func TestPredictShrunkBlendsTowardParent(t *testing.T) {
 	// (4·1 + 4·0.5)/(4+4) = 0.75.
 	tr := MustNew(Config{AlphabetSize: 2, MaxDepth: 2, Significance: 1, Shrinkage: 4})
 	root := tr.Root()
-	root.Count = 100
-	root.next[0], root.next[1] = 50, 50
+	tr.setCounts(root, 100, 50, 50)
 	na := tr.ensureChild(root, 0)
-	na.Count = 4
-	na.next[0] = 4
+	tr.setCounts(na, 4, 4)
 
 	got := tr.Predict([]seq.Symbol{0}, 0)
 	if math.Abs(got-0.75) > 1e-12 {
@@ -41,11 +39,9 @@ func TestPredictShrunkDeepCountsDominate(t *testing.T) {
 	// A heavily observed deep context must override its parent.
 	tr := MustNew(Config{AlphabetSize: 2, MaxDepth: 2, Significance: 1, Shrinkage: 4})
 	root := tr.Root()
-	root.Count = 1000
-	root.next[0], root.next[1] = 500, 500
+	tr.setCounts(root, 1000, 500, 500)
 	na := tr.ensureChild(root, 0)
-	na.Count = 10000
-	na.next[1] = 10000 // after "a", always b
+	tr.setCounts(na, 10000, 0, 10000) // after "a", always b
 	got := tr.Predict([]seq.Symbol{0}, 1)
 	if got < 0.99 {
 		t.Fatalf("shrunk P(b|a) = %v, want ≈ 1 for overwhelming counts", got)

@@ -11,12 +11,11 @@ import (
 // structure of a Tree at one Version, specialized for one background
 // distribution. It exists because the §4.3 similarity scan is the hot
 // loop of everything built on this package — clustering iterations,
-// batch classification, the serving daemon — and the pointer-shaped
-// Tree pays per scored symbol for work that is invariant while the tree
-// is frozen:
+// batch classification, the serving daemon — and the mutable Tree pays
+// per scored symbol for work that is invariant while the tree is frozen:
 //
 //   - locating the deepest node matching the current context — up to
-//     L child-map lookups per symbol in Tree.Similarity — becomes one
+//     L child-run searches per symbol in Tree.Similarity — becomes one
 //     step of a transition automaton built from suffix links at compile
 //     time (the "auxiliary links" §4.3 credits with an O(l) scan): a
 //     table load for nodes whose extension row is dense, a binary
@@ -66,7 +65,7 @@ import (
 // on another branch; the deepest-match state is then not a function of
 // (previous state, symbol) and no per-node transition table is exact.
 // For such trees the compiler falls back to a bounded-descent mode that
-// replays §3's root-down prediction walk over flat sorted child arrays:
+// replays §3's root-down prediction walk over the compiled child arrays:
 // O(L) per symbol like Tree.Similarity, but still allocation-, lock-
 // and logarithm-free.
 //
@@ -178,38 +177,26 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 		return s
 	}
 
-	// Flatten the tree in breadth-first order with per-node children
-	// sorted by edge symbol: a node's parent always precedes it (so the
-	// recurrences below read parent data that is already final), sibling
-	// order is deterministic, and child lookup becomes a binary search
-	// over one contiguous span. The compile path deliberately builds
-	// arrays rather than maps — it runs once per (tree version, scoring
-	// pass) and must stay cheap relative to the scans it accelerates.
+	// Flatten the tree in breadth-first order, each node's children in
+	// the ascending order of its run: a node's parent always precedes it
+	// (so the recurrences below read parent data that is already final),
+	// sibling order is deterministic, and child lookup becomes a binary
+	// search over one contiguous span.
 	num := t.numNodes
-	nodes := make([]*Node, 0, num)
+	nodes := make([]Slot, 0, num) // compiled index → tree slot
 	parent := make([]int32, num)
 	edge := make([]seq.Symbol, num)
 	first := make([]seq.Symbol, num) // most recent context symbol (root edge of the path)
 	childStart := make([]int32, num+1)
 	childSym := make([]seq.Symbol, 0, num-1)
 	childDst := make([]int32, 0, num-1)
-	nodes = append(nodes, t.root)
-	var syms []seq.Symbol
+	nodes = append(nodes, t.Root())
 	for head := 0; head < len(nodes); head++ {
-		nd := nodes[head]
 		childStart[head] = int32(len(childSym))
-		syms = syms[:0]
-		for sym := range nd.children {
-			syms = append(syms, sym)
-		}
-		for j := 1; j < len(syms); j++ { // insertion sort: child lists are short
-			for k := j; k > 0 && syms[k] < syms[k-1]; k-- {
-				syms[k], syms[k-1] = syms[k-1], syms[k]
-			}
-		}
-		for _, sym := range syms {
+		syms, slots := t.kids(nodes[head])
+		for j, sym := range syms {
 			ci := int32(len(nodes))
-			nodes = append(nodes, nd.children[sym])
+			nodes = append(nodes, Slot(slots[j]))
 			parent[ci] = int32(head)
 			edge[ci] = sym
 			if head == 0 {
@@ -248,8 +235,8 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 	logBg := t.logBackground(background)
 	row := make([]int32, num)
 	rows := 0
-	for i, nd := range nodes {
-		if i == 0 || t.Significant(nd) {
+	for i, x := range nodes {
+		if t.Significant(x) {
 			row[i] = int32(rows)
 			rows++
 		} else {
@@ -257,13 +244,13 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 		}
 	}
 	logRatio := make([]float64, rows*n)
-	for i, nd := range nodes {
-		if i != 0 && !t.Significant(nd) {
+	for i, x := range nodes {
+		if !t.Significant(x) {
 			continue
 		}
 		base := int(row[i]) * n
 		for sym := 0; sym < n; sym++ {
-			p := t.adjust(t.prob(nd, seq.Symbol(sym)))
+			p := t.adjust(t.prob(x, seq.Symbol(sym)))
 			if p <= 0 {
 				logRatio[base+sym] = math.Inf(-1)
 			} else {
@@ -287,7 +274,7 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 	sl := make([]int32, num)
 	closed := true
 	for i := 1; i < num && closed; i++ {
-		if nodes[i].depth == 1 {
+		if t.depth[nodes[i]] == 1 {
 			continue // sl = root
 		}
 		target := childAt(sl[parent[i]], edge[i])
@@ -497,7 +484,7 @@ func (s *Snapshot) Score(t *Tree, symbols []seq.Symbol, background []float64) Si
 }
 
 // child returns the compiled index of cur's child along edge symbol sym,
-// or −1 — the descent-mode equivalent of the tree's child-map lookup.
+// or −1 — the descent-mode equivalent of the tree's lookupChild.
 //
 //cluseq:hotpath
 func (s *Snapshot) child(cur int32, sym seq.Symbol) int32 {
@@ -520,7 +507,7 @@ func (s *Snapshot) child(cur int32, sym seq.Symbol) int32 {
 // trees without slink closure: a bounded root-down descent locates each
 // position's deepest matching node, and the precomputed rows supply the
 // adjusted log ratio. O(l·L) like the tree scan it mirrors, but free of
-// pointer chasing, locks, and logarithms.
+// locks and logarithms.
 //
 //cluseq:hotpath
 func (s *Snapshot) similarityDescend(symbols []seq.Symbol) Similarity {

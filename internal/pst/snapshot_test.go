@@ -237,13 +237,13 @@ func TestSuffixLinkInvariant(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tree.Insert(randomSymbols(rng, 100+rng.IntN(200), 4))
 	}
-	tree.Walk(func(n *Node) bool {
-		if n.Depth() < 2 {
+	tree.Walk(func(x Slot) bool {
+		if tree.Depth(x) < 2 {
 			return true
 		}
 		// Label is in original order, so its most recent symbol is last.
-		label := n.Label()
-		if tree.Lookup(label[:len(label)-1]) == nil {
+		label := tree.Label(x)
+		if tree.Lookup(label[:len(label)-1]) == NoSlot {
 			t.Fatalf("context %v is a node but its suffix %v is not", label, label[:len(label)-1])
 		}
 		return true
