@@ -23,7 +23,10 @@ type pruneItem struct {
 	key0, key1, key2 float64
 }
 
-// pruneHeap is a binary min-heap of eviction candidates under less.
+// pruneHeap is a binary min-heap of eviction candidates under less. It
+// is typed rather than built on container/heap, whose any-typed Push and
+// Pop box every candidate: a capped stream tree evicts thousands of nodes
+// per insert.
 type pruneHeap struct {
 	t     *Tree
 	items []pruneItem
