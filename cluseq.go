@@ -229,13 +229,16 @@ type (
 	// histograms. Attach one to Options.Obs to meter a clustering run,
 	// or to ServerConfig.Obs to share one exposition across the daemon.
 	Metrics = obs.Registry
-	// Tracer writes phase spans as JSON Lines to an io.Writer. Attach to
-	// Options.Tracer to record one span per outer-loop phase per
-	// iteration.
+	// Tracer writes finished traces as JSON Lines to an io.Writer.
+	// Attach it to FlightConfig.Tracer: the recorder then writes every
+	// trace it retains.
 	Tracer = obs.Tracer
-	// Flight is the request-trace flight recorder: an always-on ring of
-	// retained traces plus a top-K slowest index, with tail-based
-	// sampling. Attach to ServerConfig.Flight (see obs.Flight).
+	// Flight is the trace flight recorder: an always-on ring of retained
+	// request and job traces plus a top-K slowest index, with tail-based
+	// sampling. Attach to Options.Flight to record one job trace per
+	// clustering iteration, to StreamOptions.Flight for one per
+	// consolidation, and to ServerConfig.Flight for requests (see
+	// obs.Flight).
 	Flight = obs.Flight
 	// FlightConfig parameterizes NewFlight.
 	FlightConfig = obs.FlightConfig

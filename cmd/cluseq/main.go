@@ -47,7 +47,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		model      = fs.String("model", "", "write the trained cluster models to this file (for cmd/classify)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on exit")
-		traceOut   = fs.String("trace-out", "", "write phase spans and a final metrics snapshot as JSON Lines to this file")
+		traceOut   = fs.String("trace-out", "", "write one job trace per clustering iteration and a final metrics snapshot as JSON Lines to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -113,7 +113,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return 1
 		}
 		tracer = cluseq.NewTracer(traceFile)
-		opts.Tracer = tracer
+		opts.Flight = cluseq.NewFlight(cluseq.FlightConfig{Tracer: tracer})
 		opts.Obs = cluseq.NewMetrics()
 	}
 	res, err := cluseq.Cluster(db, opts)

@@ -98,8 +98,9 @@ func TestRunModelRoundTrip(t *testing.T) {
 }
 
 // TestRunTraceOut pins the -trace-out contract: every line of the
-// output file is a JSON record, spans cover the clustering phases, and
-// the file ends with one metrics snapshot.
+// output file is a JSON record, spans cover the clustering phases and
+// carry the run's one trace ID, and the file ends with one metrics
+// snapshot.
 func TestRunTraceOut(t *testing.T) {
 	path := writeTestDB(t)
 	traceFile := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -115,11 +116,15 @@ func TestRunTraceOut(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
 	spans := map[string]int{}
+	traceIDs := map[string]bool{}
 	metricsRecords := 0
 	for i, line := range lines {
 		var rec struct {
-			Type    string         `json:"type"`
-			Name    string         `json:"name"`
+			Type  string `json:"type"`
+			Name  string `json:"name"`
+			Attrs struct {
+				TraceID string `json:"trace_id"`
+			} `json:"attrs"`
 			Metrics map[string]any `json:"metrics"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -128,6 +133,7 @@ func TestRunTraceOut(t *testing.T) {
 		switch rec.Type {
 		case "span":
 			spans[rec.Name]++
+			traceIDs[rec.Attrs.TraceID] = true
 		case "metrics":
 			metricsRecords++
 			if rec.Metrics["cluseq_engine_iterations_total"] == nil {
@@ -141,6 +147,9 @@ func TestRunTraceOut(t *testing.T) {
 		if spans[phase] == 0 {
 			t.Errorf("no %q spans in trace", phase)
 		}
+	}
+	if len(traceIDs) != 1 || traceIDs[""] {
+		t.Errorf("spans carry trace IDs %v, want the run's one", traceIDs)
 	}
 	if metricsRecords != 1 {
 		t.Errorf("metrics records = %d, want exactly 1 (final snapshot)", metricsRecords)

@@ -39,10 +39,11 @@
 //	                        only with -stream
 //	GET  /v1/ingest/stats   streaming engine counters, only with -stream
 //	GET  /healthz, /readyz  liveness and readiness
-//	GET  /metrics           request/error/latency/outlier counters (JSON);
-//	                        ?format=prom for Prometheus text exposition
+//	GET  /metrics           request/error/latency/outlier counters as
+//	                        Prometheus text exposition
 //	GET  /debug/traces      flight recorder dump: recent and slowest
-//	                        retained request traces (?route=, ?min_ms=)
+//	                        retained request and job traces (?route=,
+//	                        ?min_ms=)
 //	GET  /debug/pprof/      Go runtime profiles, only with -pprof
 //
 // Every /v1/ request carries a W3C trace context: an inbound traceparent
@@ -50,9 +51,12 @@
 // is echoed in the X-Trace-ID response header, and retained traces land
 // in the always-on in-memory flight recorder behind GET /debug/traces.
 // Slow (>= -trace-slow) and error traces are always retained; the rest
-// are head-sampled at -trace-sample by a deterministic seeded sampler.
-// With -trace-out every retained trace is appended as JSONL spans, and
-// SIGUSR1 dumps the whole flight recorder to the same sink. Repeatable
+// are head-sampled at -trace-sample by a deterministic seeded sampler
+// (0 keeps none of them). Each stream consolidation is a job trace on
+// the same recorder, always retained; one triggered by a traced ingest
+// is that request's child. With -trace-out every retained trace is
+// appended as JSONL spans, and SIGUSR1 dumps the whole flight recorder
+// (its ring and its slowest index) to the same sink. Repeatable
 // -slo flags (route=classify,latency=250ms,target=0.99,
 // max_error_rate=0.01) export cluseqd_slo_* burn-rate gauges computed
 // from the route latency histograms at scrape time.
@@ -179,6 +183,20 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, ready chan<- str
 			}
 		}()
 	}
+	// The flight recorder is always on, and one recorder holds both the
+	// request traces and the stream's consolidation jobs: retained
+	// traces are readable at GET /debug/traces, dumped to -trace-out on
+	// SIGUSR1, and (when -trace-out is set) appended as JSONL at finish
+	// time.
+	flight := cluseq.NewFlight(cluseq.FlightConfig{
+		RingSize:      *traceRing,
+		TopK:          *traceTopK,
+		SampleRate:    *traceSample,
+		SlowThreshold: *traceSlow,
+		Seed:          *traceSeed,
+		Tracer:        tracer,
+		Obs:           met,
+	})
 
 	var eng *cluseq.StreamEngine
 	if *streamOn {
@@ -247,7 +265,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, ready chan<- str
 				}
 			},
 			Obs:    met,
-			Tracer: tracer,
+			Flight: flight,
 			Logf:   logf,
 		})
 		if err != nil {
@@ -257,20 +275,6 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, ready chan<- str
 		defer eng.Close()
 		logf("cluseqd: streaming ingest enabled, publishing model %q", name)
 	}
-
-	// The flight recorder is always on: retained request traces are
-	// readable at GET /debug/traces, dumped to -trace-out on SIGUSR1,
-	// and (when -trace-out is set) every retained trace is appended as
-	// JSONL at finish time.
-	flight := cluseq.NewFlight(cluseq.FlightConfig{
-		RingSize:      *traceRing,
-		TopK:          *traceTopK,
-		SampleRate:    *traceSample,
-		SlowThreshold: *traceSlow,
-		Seed:          *traceSeed,
-		Tracer:        tracer,
-		Obs:           met,
-	})
 
 	scfg := cluseq.ServerConfig{
 		Registry:      reg,

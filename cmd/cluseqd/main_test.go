@@ -14,6 +14,7 @@ import (
 
 	"cluseq"
 	"cluseq/internal/datagen"
+	"cluseq/internal/obs"
 )
 
 // trainBundle runs the full CLUSEQ pipeline on a synthetic workload and
@@ -261,29 +262,26 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
-	var metrics struct {
-		Requests       map[string]int64 `json:"requests"`
-		SequencesTotal int64            `json:"sequences_total"`
-		Latency        struct {
-			Count int64   `json:"count"`
-			P50   float64 `json:"p50"`
-		} `json:"latency_ms"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatalf("metrics decode: %v", err)
-	}
+	ms, err := obs.ParsePrometheus(resp.Body)
 	resp.Body.Close()
-	if metrics.Requests["classify"] < 4 {
-		t.Errorf("classify requests = %d, want ≥ 4", metrics.Requests["classify"])
+	if err != nil {
+		t.Fatalf("metrics parse: %v", err)
 	}
-	if metrics.Requests["reload"] != 5 {
-		t.Errorf("reload requests = %d, want 5", metrics.Requests["reload"])
+	series := map[string]obs.Metric{}
+	for _, m := range ms {
+		series[m.ID()] = m
 	}
-	if metrics.SequencesTotal < 7 {
-		t.Errorf("sequences_total = %d, want ≥ 7", metrics.SequencesTotal)
+	if got := series[`cluseqd_requests_total{route="classify"}`].Value; got < 4 {
+		t.Errorf("classify requests = %v, want ≥ 4", got)
 	}
-	if metrics.Latency.Count < 4 {
-		t.Errorf("latency count = %d, want ≥ 4", metrics.Latency.Count)
+	if got := series[`cluseqd_requests_total{route="reload"}`].Value; got != 5 {
+		t.Errorf("reload requests = %v, want 5", got)
+	}
+	if got := series["cluseqd_sequences_total"].Value; got < 7 {
+		t.Errorf("sequences_total = %v, want ≥ 7", got)
+	}
+	if lat := series[`cluseqd_request_seconds{route="classify"}`]; lat.Count < 4 || len(lat.Quantiles) == 0 {
+		t.Errorf("classify latency summary = %+v, want ≥ 4 observations", lat)
 	}
 
 	// Graceful shutdown: SIGINT drains and run returns 0. Close the
@@ -390,8 +388,10 @@ func TestDaemonUsageErrors(t *testing.T) {
 // start a daemon with an empty model directory and -stream, feed it a
 // labeled synthetic stream over POST /v1/ingest, watch clusters form and
 // consolidate, classify against the continuously republished "stream"
-// model mid-ingest with zero non-200s, and verify the stream gauges and
-// consolidation spans landed in /metrics and -trace-out.
+// model mid-ingest with zero non-200s, and verify the stream gauges
+// landed in /metrics and every consolidation — a job trace kept even at
+// -trace-sample 0, joined to the ingest that triggered it — landed in
+// /debug/traces and -trace-out.
 func TestDaemonStreamingEndToEnd(t *testing.T) {
 	db, err := datagen.SyntheticDB(datagen.SyntheticConfig{
 		NumSequences: 400,
@@ -411,7 +411,7 @@ func TestDaemonStreamingEndToEnd(t *testing.T) {
 		"-models", dir,
 		"-stream", "-stream-alphabet", db.Alphabet.String(),
 		"-stream-threshold", "1.05", "-stream-consolidate", "64",
-		"-trace-out", traceFile, "-v")
+		"-trace-out", traceFile, "-trace-sample", "0", "-v")
 
 	// No models yet: not ready, and classify against "stream" is a 404.
 	resp, err := http.Get(base + "/readyz")
@@ -428,6 +428,7 @@ func TestDaemonStreamingEndToEnd(t *testing.T) {
 	// endpoints must be a 200.
 	published := false
 	classifies := 0
+	ingestIDs := map[string]bool{}
 	const batchSize = 40
 	for off := 0; off < db.Len(); off += batchSize {
 		end := off + batchSize
@@ -442,6 +443,7 @@ func TestDaemonStreamingEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("ingest at offset %d = %d: %s", off, resp.StatusCode, body)
 		}
+		ingestIDs[resp.Header.Get("X-Trace-ID")] = true
 		var ir cluseq.IngestResponse
 		if err := json.Unmarshal(body, &ir); err != nil {
 			t.Fatalf("ingest response: %v", err)
@@ -532,6 +534,26 @@ func TestDaemonStreamingEndToEnd(t *testing.T) {
 		t.Error("cluseq_stream_clusters still 0 after the stream")
 	}
 
+	// Every consolidation so far was tripped by an ingest: each is a job
+	// trace in that request's trace, hanging off its root span.
+	resp, err = http.Get(base + "/debug/traces?route=stream_consolidate")
+	if err != nil {
+		t.Fatalf("GET /debug/traces: %v", err)
+	}
+	var dump obs.FlightDump
+	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+		t.Fatalf("traces decode: %v", err)
+	}
+	resp.Body.Close()
+	if int64(len(dump.Recent)) != st.Consolidations {
+		t.Errorf("/debug/traces holds %d consolidations, want %d", len(dump.Recent), st.Consolidations)
+	}
+	for _, rec := range dump.Recent {
+		if !ingestIDs[rec.TraceID] || rec.ParentID == "" || len(rec.Spans) != 3 {
+			t.Errorf("consolidation %s (parent %q, %d spans) not joined to an ingest", rec.TraceID, rec.ParentID, len(rec.Spans))
+		}
+	}
+
 	sig <- os.Interrupt
 	select {
 	case code := <-done:
@@ -542,7 +564,8 @@ func TestDaemonStreamingEndToEnd(t *testing.T) {
 		t.Fatal("daemon did not shut down")
 	}
 
-	// -trace-out captured the consolidation phases as spans.
+	// -trace-out captured every consolidation, the shutdown flush
+	// included, with its phases as spans.
 	spans, err := os.ReadFile(traceFile)
 	if err != nil {
 		t.Fatalf("reading trace file: %v", err)
@@ -551,6 +574,10 @@ func TestDaemonStreamingEndToEnd(t *testing.T) {
 		if !strings.Contains(string(spans), `"name":"`+want+`"`) {
 			t.Errorf("trace file missing span %s", want)
 		}
+	}
+	jobs := strings.Count(string(spans), `"route":"stream_consolidate"`)
+	if passes := strings.Count(logs.String(), "stream consolidation "); jobs != passes || int64(jobs) < st.Consolidations {
+		t.Errorf("trace file holds %d consolidation jobs; the engine logged %d passes, %d before shutdown", jobs, passes, st.Consolidations)
 	}
 }
 

@@ -21,9 +21,9 @@
 // -cpuprofile/-memprofile write standard pprof profiles covering the
 // selected runs; see EXPERIMENTS.md for the profiling workflow.
 //
-// -trace-out FILE records one JSONL span per clustering phase per
-// iteration across every selected run, plus a final metrics snapshot;
-// see EXPERIMENTS.md for how to read the file.
+// -trace-out FILE records one JSONL job trace per clustering iteration
+// (one span per phase) across every selected run, plus a final metrics
+// snapshot; see EXPERIMENTS.md for how to read the file.
 //
 // The paper scale replays the exact workload sizes of the paper
 // (100,000 × 1000 synthetic, 8000 proteins) and can take hours; the
@@ -126,7 +126,7 @@ func run() int {
 	benchSimilarity := flag.String("bench-similarity", "", "run only the similarity scan benchmark and write it as JSON to this file (e.g. BENCH_similarity.json)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile covering the selected runs to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-GC) to this file on exit")
-	traceOut := flag.String("trace-out", "", "write phase spans of every clustering run plus a final metrics snapshot as JSON Lines to this file")
+	traceOut := flag.String("trace-out", "", "write one job trace per iteration of every clustering run plus a final metrics snapshot as JSON Lines to this file")
 	flag.Parse()
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
@@ -146,7 +146,7 @@ func run() int {
 		}
 		obsReg = cluseq.NewMetrics()
 		tracer = cluseq.NewTracer(traceFile)
-		experiments.Instrument(obsReg, tracer)
+		experiments.Instrument(obsReg, cluseq.NewFlight(cluseq.FlightConfig{Tracer: tracer}))
 		defer func() {
 			tracer.EmitMetrics(obsReg)
 			err := tracer.Err()

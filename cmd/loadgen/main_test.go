@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cluseq/internal/loadgen"
+	"cluseq/internal/obs"
 )
 
 // stubTarget answers the three routes the generator drives plus the
@@ -40,7 +41,9 @@ func stubTarget() http.Handler {
 		w.Write([]byte("ok"))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"requests":{"classify":1}}`))
+		reg := obs.NewRegistry()
+		reg.Counter("cluseqd_requests_total", "route", "classify").Inc()
+		reg.WritePrometheus(w)
 	})
 	return mux
 }

@@ -158,10 +158,13 @@ type Config struct {
 	// See DESIGN.md §10 for the metric catalogue. Nil disables metrics
 	// at negligible residual cost (nil-handle no-ops).
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives one span per §4 phase per
-	// iteration (generate, score, apply, consolidate, threshold, and
-	// refine passes) as JSONL for offline analysis.
-	Tracer *obs.Tracer
+	// Flight, when non-nil, records the run as job traces sharing one
+	// trace ID: one cluster_iteration trace per outer iteration, with a
+	// generate, score, apply, consolidate and (unless FixedThreshold)
+	// threshold span, and one cluster_refine trace with a refine span
+	// when RefinePasses > 0. Attach a Tracer to the recorder to write
+	// them as JSONL.
+	Flight *obs.Flight
 }
 
 func (c Config) withDefaults() (Config, error) {

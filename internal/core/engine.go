@@ -82,12 +82,10 @@ type engine struct {
 
 	nextID int
 
-	// met holds the run's metric handles (zero value = all no-ops); iter
-	// is the current outer-loop iteration for span attribution;
+	// met holds the run's metric handles (zero value = all no-ops);
 	// iterCompiles counts snapshot compilations within the current
 	// iteration for IterationTrace and the log line.
 	met          engineMetrics
-	iter         int
 	iterCompiles int
 }
 
@@ -167,17 +165,22 @@ func (e *engine) run() (*Result, error) {
 	}
 	res := &Result{n: e.db.Len()}
 	prevMembership := e.membershipOf()
+	// Each iteration, and refinement, is one job trace on Config.Flight,
+	// begun sampled so the recorder keeps it. The first job mints the
+	// run's trace ID and later ones adopt it: one run, one trace ID.
+	jobCtx := obs.TraceContext{Sampled: true}
 	for iter := 0; iter < e.cfg.MaxIterations; iter++ {
-		e.iter = iter
 		e.iterCompiles = 0
+		job := e.cfg.Flight.Begin("cluster_iteration", jobCtx)
+		jobCtx.TraceID = job.TraceID()
 		trace := IterationTrace{}
 
 		// 1. New cluster generation (§4.1).
 		start := time.Now()
-		sp := e.cfg.Tracer.Span("generate", obs.Int("iter", iter+1))
+		sp := job.StartSpan("generate")
 		kn := e.newClusterBudget(iter)
 		created := e.generateClusters(kn)
-		sp.End(obs.Int("budget", kn), obs.Int("created", created))
+		sp.End()
 		e.met.observePhase(e.met.phaseGenerate, start)
 		trace.NewClusters = created
 		e.prevNew = created
@@ -185,15 +188,15 @@ func (e *engine) run() (*Result, error) {
 		// 2. Sequence reclustering (§4.2-4.4), collecting every
 		// sequence-cluster log-similarity for the §4.6 histogram.
 		// recluster emits its own score/apply spans.
-		logSims := e.recluster()
+		logSims := e.recluster(job)
 		trace.CacheHits = int(e.cacheHits.Load())
 		trace.CacheMisses = int(e.cacheMisses.Load())
 
 		// 3. Cluster consolidation (§4.5).
 		start = time.Now()
-		sp = e.cfg.Tracer.Span("consolidate", obs.Int("iter", iter+1))
+		sp = job.StartSpan("consolidate")
 		eliminated := e.consolidate()
-		sp.End(obs.Int("eliminated", eliminated))
+		sp.End()
 		e.met.observePhase(e.met.phaseConsolidate, start)
 		trace.Consolidated = eliminated
 		e.prevEliminated = eliminated
@@ -221,11 +224,11 @@ func (e *engine) run() (*Result, error) {
 		e.tMoved = false
 		if !e.cfg.FixedThreshold {
 			start = time.Now()
-			sp = e.cfg.Tracer.Span("threshold", obs.Int("iter", iter+1))
+			sp = job.StartSpan("threshold")
 			unclustered := len(e.unclusteredIndices())
 			starved := moves == 0 && unclustered > e.db.Len()/3
 			trace.ValleyEstimate = e.adjustThreshold(logSims, starved)
-			sp.End(obs.Float("t", e.thr.Threshold()), obs.Bool("moved", e.tMoved))
+			sp.End()
 			e.met.observePhase(e.met.phaseThreshold, start)
 		}
 		trace.Clusters = len(e.clusters)
@@ -242,6 +245,7 @@ func (e *engine) run() (*Result, error) {
 		e.logf("iter %d: +%d new, -%d consolidated, %d clusters, %d moves, t=%.4g, %d unclustered, cache %.1f%% hit, %d snapshot compiles",
 			iter+1, trace.NewClusters, trace.Consolidated, trace.Clusters,
 			moves, trace.Threshold, trace.Unclustered, hitRate, trace.SnapshotCompiles)
+		e.cfg.Flight.Finish(job, 200)
 
 		// Termination (§4): same number of clusters, no membership change,
 		// and the similarity threshold has settled (a still-descending t
@@ -253,14 +257,16 @@ func (e *engine) run() (*Result, error) {
 	}
 
 	if e.cfg.RefinePasses > 0 {
+		job := e.cfg.Flight.Begin("cluster_refine", jobCtx)
 		start := time.Now()
-		sp := e.cfg.Tracer.Span("refine", obs.Int("passes", e.cfg.RefinePasses))
+		sp := job.StartSpan("refine")
 		e.refine()
-		sp.End(obs.Int("clusters", len(e.clusters)))
+		sp.End()
 		e.met.observePhase(e.met.phaseRefine, start)
 		for _, c := range e.clusters {
 			e.harvestTree(c)
 		}
+		e.cfg.Flight.Finish(job, 200)
 	}
 
 	res.FinalThreshold = e.thr.Threshold()
@@ -607,8 +613,8 @@ func (e *engine) cachedSim(c *cluster, si int, syms []seq.Symbol, countHit bool)
 	return ent.sim
 }
 
-// recluster runs one §4.2 pass in two phases: the parallel scoring
-// phase above, then the apply phase, which joins clusters and inserts
+// recluster runs one §4.2 pass in two phases, each a span on job: the
+// parallel scoring phase above, then the apply phase, which joins clusters and inserts
 // best segments with every sequence examined in the exact §6.3 order.
 //
 // The apply phase is cluster-major: each cluster walks the whole order
@@ -624,17 +630,17 @@ func (e *engine) cachedSim(c *cluster, si int, syms []seq.Symbol, countHit bool)
 // in sequence-major order after the fan-out.
 //
 //cluseq:deterministic
-func (e *engine) recluster() []float64 {
+func (e *engine) recluster(job *obs.RequestTrace) []float64 {
 	e.cacheHits.Store(0)
 	e.cacheMisses.Store(0)
 	start := time.Now() //cluseq:allow determinism: timestamp feeds the score-phase span and histogram only, never the clustering state
-	sp := e.cfg.Tracer.Span("score", obs.Int("iter", e.iter+1), obs.Int("clusters", len(e.clusters)))
+	sp := job.StartSpan("score")
 	e.scoreClusters()
-	sp.End(obs.Int64("cache_hits", e.cacheHits.Load()), obs.Int64("cache_misses", e.cacheMisses.Load()))
+	sp.End()
 	e.met.observePhase(e.met.phaseScore, start)
 
 	start = time.Now() //cluseq:allow determinism: timestamp feeds the apply-phase span and histogram only, never the clustering state
-	sp = e.cfg.Tracer.Span("apply", obs.Int("iter", e.iter+1))
+	sp = job.StartSpan("apply")
 	order := e.sequenceOrder()
 	n := len(order)
 	// norms[ci*n+pos] is cluster ci's score for the sequence at position
@@ -688,7 +694,7 @@ func (e *engine) recluster() []float64 {
 			}
 		}
 	}
-	sp.End(obs.Int("similarities", len(logSims)))
+	sp.End()
 	e.met.observePhase(e.met.phaseApply, start)
 	return logSims
 }

@@ -8,72 +8,114 @@ import (
 	"cluseq/internal/obs"
 )
 
-// traceSpan is the subset of a tracer span record these tests decode.
-type traceSpan struct {
+// traceRecord is the subset of a JSONL trace record these tests decode.
+type traceRecord struct {
 	Type  string         `json:"type"`
 	Name  string         `json:"name"`
 	DurUS int64          `json:"dur_us"`
 	Attrs map[string]any `json:"attrs"`
 }
 
-// TestClusterEmitsPhaseSpans runs a full clustering with a tracer
-// attached and checks the span taxonomy: one generate, score, apply,
-// consolidate, and threshold span per iteration (each tagged with its
-// 1-based iter attribute), plus exactly one refine span when refinement
-// is configured.
+// TestClusterEmitsPhaseSpans runs a full clustering with a flight
+// recorder and a JSONL sink attached and checks the job-trace taxonomy:
+// one cluster_iteration trace per iteration holding exactly one
+// generate, score, apply, consolidate and threshold span, plus one
+// cluster_refine trace holding a refine span when refinement is
+// configured — all under one trace ID, with the final metrics record
+// last.
 func TestClusterEmitsPhaseSpans(t *testing.T) {
 	db := determinismDB(t, 11)
 	cfg := determinismConfigs()["refine+merge+random"]
 	var sb strings.Builder
-	cfg.Tracer = obs.NewTracer(&sb)
+	tr := obs.NewTracer(&sb)
+	// Sample rate 0: jobs begin sampled, so the recorder keeps them all.
+	cfg.Flight = obs.NewFlight(obs.FlightConfig{Tracer: tr})
 	cfg.Obs = obs.NewRegistry()
 
 	res, err := Cluster(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Tracer.Err(); err != nil {
+	tr.EmitMetrics(cfg.Obs)
+	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	perIter := map[string]map[int]int{} // phase -> iter -> count
-	refines := 0
-	for _, line := range strings.Split(strings.TrimRight(sb.String(), "\n"), "\n") {
-		var sp traceSpan
-		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+	type job struct {
+		route  string
+		phases map[string]int
+	}
+	var jobs []*job
+	traceIDs := map[string]bool{}
+	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
+	for i, line := range lines {
+		var rec traceRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("trace line is not valid JSON: %v\n%s", err, line)
 		}
-		if sp.Type != "span" {
-			t.Fatalf("unexpected record type %q: %s", sp.Type, line)
-		}
-		if sp.DurUS < 0 {
-			t.Fatalf("negative span duration: %s", line)
-		}
-		switch sp.Name {
-		case "generate", "score", "apply", "consolidate", "threshold":
-			iter, ok := sp.Attrs["iter"].(float64)
-			if !ok || iter < 1 || int(iter) > res.Iterations {
-				t.Fatalf("%s span with bad iter attr: %s", sp.Name, line)
+		if rec.Type == "metrics" {
+			if i != len(lines)-1 {
+				t.Fatalf("metrics record on line %d of %d, want last", i+1, len(lines))
 			}
-			if perIter[sp.Name] == nil {
-				perIter[sp.Name] = map[int]int{}
+			continue
+		}
+		if rec.Type != "span" {
+			t.Fatalf("unexpected record type %q: %s", rec.Type, line)
+		}
+		if rec.DurUS < 0 {
+			t.Fatalf("unfinished span: %s", line)
+		}
+		id, _ := rec.Attrs["trace_id"].(string)
+		if id == "" {
+			t.Fatalf("span without trace_id: %s", line)
+		}
+		traceIDs[id] = true
+		if rec.Name == "request" {
+			if rec.Attrs["status"] != 200.0 {
+				t.Errorf("job finished with status %v, want 200: %s", rec.Attrs["status"], line)
 			}
-			perIter[sp.Name][int(iter)]++
-		case "refine":
+			route, _ := rec.Attrs["route"].(string)
+			jobs = append(jobs, &job{route: route, phases: map[string]int{}})
+			continue
+		}
+		if len(jobs) == 0 {
+			t.Fatalf("span before any job root: %s", line)
+		}
+		jobs[len(jobs)-1].phases[rec.Name]++
+	}
+	if len(traceIDs) != 1 {
+		t.Errorf("run spans %d trace IDs, want 1: %v", len(traceIDs), traceIDs)
+	}
+	iterations, refines := 0, 0
+	for i, j := range jobs {
+		switch j.route {
+		case "cluster_iteration":
+			iterations++
+			for _, phase := range []string{"generate", "score", "apply", "consolidate", "threshold"} {
+				if got := j.phases[phase]; got != 1 {
+					t.Errorf("iteration %d: %d %s spans, want 1", iterations, got, phase)
+				}
+			}
+			if len(j.phases) != 5 {
+				t.Errorf("iteration %d: spans %v, want the five phases only", iterations, j.phases)
+			}
+		case "cluster_refine":
 			refines++
+			if i != len(jobs)-1 || len(j.phases) != 1 || j.phases["refine"] != 1 {
+				t.Errorf("refine job %d of %d holds %v, want the last job with one refine span", i+1, len(jobs), j.phases)
+			}
 		default:
-			t.Fatalf("unknown span name %q: %s", sp.Name, line)
+			t.Fatalf("unknown job route %q", j.route)
 		}
 	}
-	for _, phase := range []string{"generate", "score", "apply", "consolidate", "threshold"} {
-		for iter := 1; iter <= res.Iterations; iter++ {
-			if got := perIter[phase][iter]; got != 1 {
-				t.Errorf("phase %s iteration %d: %d spans, want 1", phase, iter, got)
-			}
-		}
+	if iterations != res.Iterations {
+		t.Errorf("%d iteration traces, want %d", iterations, res.Iterations)
 	}
 	if refines != 1 {
-		t.Errorf("refine spans = %d, want 1 (RefinePasses=%d)", refines, cfg.RefinePasses)
+		t.Errorf("refine traces = %d, want 1 (RefinePasses=%d)", refines, cfg.RefinePasses)
+	}
+	if got := len(cfg.Flight.Snapshot(obs.TraceFilter{}).Recent); got != len(jobs) {
+		t.Errorf("flight recorder retained %d jobs, want %d", got, len(jobs))
 	}
 
 	// The obs registry saw the same run: iteration counter matches, and
@@ -93,7 +135,7 @@ func TestClusterEmitsPhaseSpans(t *testing.T) {
 	}
 }
 
-// TestClusterObsMatchesResult pins the metrics-only path (no tracer):
+// TestClusterObsMatchesResult pins the metrics-only path (no flight recorder):
 // gauges land on the final state and phase histograms fill for every
 // phase that ran.
 func TestClusterObsMatchesResult(t *testing.T) {

@@ -191,20 +191,20 @@ func languageCluseqConfig(s Scale, seed uint64) core.Config {
 	return cfg
 }
 
-// obsRegistry and obsTracer, when set via Instrument, are attached to
+// obsRegistry and obsFlight, when set via Instrument, are attached to
 // every clustering run the experiments launch. Package-level because
 // the experiment runners build their core.Config internally; this is
 // the single choke point all of them pass through.
 var (
 	obsRegistry *obs.Registry
-	obsTracer   *obs.Tracer
+	obsFlight   *obs.Flight
 )
 
-// Instrument attaches a metrics registry and span tracer (either may be
-// nil) to every subsequent clustering run. Not safe to call while
-// experiments are running.
-func Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	obsRegistry, obsTracer = reg, tr
+// Instrument attaches a metrics registry and a flight recorder for job
+// traces (either may be nil) to every subsequent clustering run. Not
+// safe to call while experiments are running.
+func Instrument(reg *obs.Registry, f *obs.Flight) {
+	obsRegistry, obsFlight = reg, f
 }
 
 // runCLUSEQ executes the core algorithm and evaluates it against the
@@ -215,7 +215,7 @@ func runCLUSEQ(db *seq.Database, cfg core.Config) (*core.Result, eval.Report, ti
 	if cfg.Obs == nil {
 		cfg.Obs = obsRegistry
 	}
-	cfg.Tracer = obsTracer
+	cfg.Flight = obsFlight
 	start := time.Now()
 	res, err := core.Cluster(db, cfg)
 	elapsed := time.Since(start)

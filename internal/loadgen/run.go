@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"cluseq/internal/obs"
 	"cluseq/internal/pool"
 )
 
@@ -231,7 +232,8 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// scrape fetches the target's JSON /metrics for the server-side view.
+// scrape reads the target's Prometheus /metrics for the server-side
+// view: cluseqd_requests_total{route} and cluseqd_sequences_total.
 // Failures degrade to a nil section rather than failing the run: the
 // target may be a stub without a metrics endpoint.
 func (r *Runner) scrape() *ServerStats {
@@ -241,15 +243,21 @@ func (r *Runner) scrape() *ServerStats {
 		return nil
 	}
 	defer resp.Body.Close()
-	var m struct {
-		Requests       map[string]int64 `json:"requests"`
-		SequencesTotal int64            `json:"sequences_total"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		r.logf("loadgen: decoding target metrics: %v", err)
+	ms, err := obs.ParsePrometheus(resp.Body)
+	if err != nil {
+		r.logf("loadgen: parsing target metrics: %v", err)
 		return nil
 	}
-	return &ServerStats{Requests: m.Requests, SequencesTotal: m.SequencesTotal}
+	st := &ServerStats{Requests: map[string]int64{}}
+	for _, m := range ms {
+		switch m.Name {
+		case "cluseqd_requests_total":
+			st.Requests[m.Label("route")] = int64(m.Value)
+		case "cluseqd_sequences_total":
+			st.SequencesTotal = int64(m.Value)
+		}
+	}
+	return st
 }
 
 func (r *Runner) logf(format string, args ...any) {

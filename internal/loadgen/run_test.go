@@ -8,11 +8,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"cluseq/internal/obs"
 )
 
 // stubServer mimics cluseqd's surface closely enough for the runner:
 // /v1/classify answers index-aligned results, /v1/models/reload answers
-// an empty report, /metrics serves the legacy JSON counters. It counts
+// an empty report, /metrics serves cluseqd's request and sequence
+// counters as Prometheus text. It counts
 // what it saw so the test can cross-check the runner's bookkeeping.
 type stubServer struct {
 	mu        sync.Mutex
@@ -82,10 +85,11 @@ func (s *stubServer) handler() http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		json.NewEncoder(w).Encode(map[string]any{
-			"requests":        map[string]int64{"classify": s.singles + s.batches, "reload": s.reloads},
-			"sequences_total": s.sequences,
-		})
+		reg := obs.NewRegistry()
+		reg.Counter("cluseqd_requests_total", "route", "classify").Add(s.singles + s.batches)
+		reg.Counter("cluseqd_requests_total", "route", "reload").Add(s.reloads)
+		reg.Counter("cluseqd_sequences_total").Add(s.sequences)
+		reg.WritePrometheus(w)
 	})
 	return mux
 }
@@ -177,6 +181,12 @@ func TestRunAgainstStub(t *testing.T) {
 	}
 	if got := res.Server.Requests["classify"]; got != wantSingles+wantBatches {
 		t.Fatalf("server-side classify count = %d, want %d", got, wantSingles+wantBatches)
+	}
+	if got := res.Server.Requests["reload"]; got != wantReloads {
+		t.Fatalf("server-side reload count = %d, want %d", got, wantReloads)
+	}
+	if res.Server.SequencesTotal != stub.sequences || stub.sequences == 0 {
+		t.Fatalf("server-side sequences_total = %d, stub counted %d", res.Server.SequencesTotal, stub.sequences)
 	}
 
 	// Sanity on derived values.

@@ -8,11 +8,13 @@ import (
 	"time"
 )
 
-// Flight is an always-on in-memory flight recorder for request traces:
-// a fixed-size ring of completed traces plus a top-K slowest index,
-// readable at any time (GET /debug/traces, SIGUSR1 dump) so a
+// Flight is an always-on in-memory flight recorder for request and job
+// traces: a fixed-size ring of completed traces plus a top-K slowest
+// index, readable at any time (GET /debug/traces, SIGUSR1 dump) so a
 // production incident can be triaged after the fact without verbose
-// tracing having been enabled in advance.
+// tracing having been enabled in advance. Jobs — a batch clustering
+// iteration, a stream consolidation — begin with the sampled flag set,
+// so a recorder retains every one of them.
 //
 // # Retention policy (tail-based sampling)
 //
@@ -70,7 +72,7 @@ type flightSlot struct {
 }
 
 // FlightConfig parameterizes NewFlight. The zero value of every field
-// picks a production-safe default.
+// but SampleRate picks a production-safe default.
 type FlightConfig struct {
 	// RingSize is the number of retained traces the ring holds before
 	// overwriting the oldest. Default 256.
@@ -79,8 +81,9 @@ type FlightConfig struct {
 	// churn. Default 16.
 	TopK int
 	// SampleRate head-samples fast, successful traces: the fraction
-	// retained, in [0, 1]. Default 0.01. Slow and error traces are
-	// always retained regardless.
+	// retained, clamped to [0, 1]. It is taken literally, so 0 keeps
+	// none of them. Slow, error and inbound-sampled traces are always
+	// retained regardless.
 	SampleRate float64
 	// SlowThreshold is the duration at or above which a trace is always
 	// retained. Default 250ms.
@@ -107,15 +110,7 @@ func NewFlight(cfg FlightConfig) *Flight {
 	if cfg.TopK > cfg.RingSize {
 		cfg.TopK = cfg.RingSize
 	}
-	if cfg.SampleRate < 0 {
-		cfg.SampleRate = 0
-	}
-	if cfg.SampleRate == 0 {
-		cfg.SampleRate = 0.01
-	}
-	if cfg.SampleRate > 1 {
-		cfg.SampleRate = 1
-	}
+	cfg.SampleRate = min(max(cfg.SampleRate, 0), 1)
 	if cfg.SlowThreshold <= 0 {
 		cfg.SlowThreshold = 250 * time.Millisecond
 	}
@@ -143,19 +138,12 @@ func NewFlight(cfg FlightConfig) *Flight {
 	return f
 }
 
-// SlowThreshold returns the always-retain duration bound.
-func (f *Flight) SlowThreshold() time.Duration {
-	if f == nil {
-		return 0
-	}
-	return f.slow
-}
-
-// Begin checks a pooled trace record out for one request. inbound is
-// the caller's parsed traceparent (the zero TraceContext when none):
-// its trace ID is adopted so the distributed trace stays connected, its
-// span ID becomes the parent link, and its sampled flag forces
-// retention. Pair every Begin with exactly one Finish.
+// Begin checks a pooled trace record out for one request or job. route
+// labels it. inbound is the caller's trace context (the zero
+// TraceContext when none): its trace ID is adopted so the distributed
+// trace stays connected, its span ID becomes the parent link, and its
+// sampled flag forces retention. Pair every Begin with exactly one
+// Finish.
 func (f *Flight) Begin(route string, inbound TraceContext) *RequestTrace {
 	if f == nil {
 		return nil
@@ -328,24 +316,34 @@ func (f *Flight) Snapshot(filter TraceFilter) FlightDump {
 }
 
 // WriteJSONL dumps the recorder's state to the tracer as JSONL: one
-// "flight_dump" event, then every trace in the dump as span records.
-// This is the SIGUSR1 path: an on-demand dump to the -trace-out sink.
+// "flight_dump" event, then every trace of the ring and every slowest
+// trace the ring no longer holds, as span records. This is the SIGUSR1
+// path: an on-demand dump to the -trace-out sink. It returns the number
+// of traces written.
 func (f *Flight) WriteJSONL(tr *Tracer, filter TraceFilter) int {
 	if f == nil || tr == nil {
 		return 0
 	}
 	dump := f.Snapshot(filter)
-	tr.Event("flight_dump", Int("recent", len(dump.Recent)), Int("slowest", len(dump.Slowest)))
-	for i := range dump.Recent {
-		tr.WriteTraceRecord(&dump.Recent[i])
+	tr.write(record{Type: "event", Name: "flight_dump", TSUS: time.Now().UnixMicro(),
+		Attrs: map[string]any{"recent": len(dump.Recent), "slowest": len(dump.Slowest)}})
+	// A retained record's TraceContext is its trace and span ID (Sampled
+	// is set on every one), so it identifies the record across both lists.
+	all := append(dump.Recent, dump.Slowest...)
+	seen := make(map[TraceContext]bool, len(all))
+	for i := range all {
+		if rec := &all[i]; !seen[rec.Trace] {
+			seen[rec.Trace] = true
+			tr.WriteTraceRecord(rec)
+		}
 	}
-	return len(dump.Recent)
+	return len(seen)
 }
 
-// WriteTraceRecord emits one finished request trace as JSONL: a root
-// "request" span carrying the trace identity, then one record per
-// child span, each tagged with the trace ID so the file can be
-// filtered to one request with jq.
+// WriteTraceRecord emits one finished trace as JSONL: a root "request"
+// span carrying the trace identity, then one record per child span,
+// each tagged with the trace ID so the file can be filtered to one
+// request or job with jq.
 func (t *Tracer) WriteTraceRecord(rec *TraceRecord) {
 	if t == nil || rec == nil {
 		return

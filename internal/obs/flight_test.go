@@ -82,8 +82,11 @@ func TestFlightRetainsAndRecordsSpans(t *testing.T) {
 	}
 }
 
+// TestFlightTailRetention pins the retention policy at sample rate 0:
+// slow, error and inbound-sampled traces are kept, and no fast,
+// successful one is.
 func TestFlightTailRetention(t *testing.T) {
-	f := NewFlight(FlightConfig{SampleRate: 0.000001, SlowThreshold: time.Nanosecond})
+	f := NewFlight(FlightConfig{SampleRate: 0, SlowThreshold: time.Nanosecond})
 	// Slow trace: always kept (SlowThreshold is one nanosecond here).
 	tr := f.Begin("classify", TraceContext{})
 	time.Sleep(time.Millisecond)
@@ -91,7 +94,7 @@ func TestFlightTailRetention(t *testing.T) {
 		t.Error("slow trace dropped")
 	}
 
-	fast := NewFlight(FlightConfig{SampleRate: 0.000001, SlowThreshold: time.Hour})
+	fast := NewFlight(FlightConfig{SampleRate: 0, SlowThreshold: time.Hour})
 	// Error trace: always kept even when fast and sampled out.
 	if !fast.Finish(fast.Begin("classify", TraceContext{}), 500) {
 		t.Error("error trace dropped")
@@ -101,15 +104,32 @@ func TestFlightTailRetention(t *testing.T) {
 	if !fast.Finish(fast.Begin("classify", inbound), 200) {
 		t.Error("upstream-sampled trace dropped")
 	}
-	// Fast, successful, unsampled: essentially always dropped at rate 1e-6.
+	// Fast, successful, unsampled: never kept at rate 0.
 	kept := 0
 	for i := 0; i < 200; i++ {
 		if fast.Finish(fast.Begin("classify", TraceContext{}), 200) {
 			kept++
 		}
 	}
-	if kept > 2 {
-		t.Errorf("%d/200 fast traces kept at rate 1e-6", kept)
+	if kept > 0 {
+		t.Errorf("%d/200 fast traces kept at rate 0", kept)
+	}
+}
+
+// TestFlightSampleRateIsLiteral: the rate is clamped to [0, 1] and
+// otherwise taken as given — 0 (or below) samples no trace ID in, 1 (or
+// above) every one.
+func TestFlightSampleRateIsLiteral(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		want bool
+	}{{0, false}, {-0.5, false}, {1, true}, {7, true}} {
+		f := NewFlight(FlightConfig{SampleRate: tc.rate})
+		for i := 0; i < 10000; i++ {
+			if id := NewTraceID(); f.Sampled(id) != tc.want {
+				t.Fatalf("rate %v: Sampled(%s) = %v, want %v", tc.rate, id, !tc.want, tc.want)
+			}
+		}
 	}
 }
 
@@ -290,6 +310,57 @@ func TestFlightWriteAllocs(t *testing.T) {
 	}
 }
 
+// TestFlightWriteJSONLKeepsSlowest: the SIGUSR1 dump carries the
+// slowest index as well as the ring, so a slow trace the ring has
+// churned out still reaches the sink — once, however many of the
+// slowest are also still in the ring.
+func TestFlightWriteJSONLKeepsSlowest(t *testing.T) {
+	f := NewFlight(FlightConfig{SampleRate: 1, RingSize: 4, TopK: 2, SlowThreshold: time.Hour})
+	slow := f.Begin("classify", TraceContext{})
+	slowID := slow.TraceID().String()
+	time.Sleep(2 * time.Millisecond)
+	f.Finish(slow, 200)
+	for i := 0; i < 16; i++ {
+		f.Finish(f.Begin("classify", TraceContext{}), 200)
+	}
+	want := map[string]bool{}
+	dump := f.Snapshot(TraceFilter{})
+	for _, rec := range append(dump.Recent, dump.Slowest...) {
+		want[rec.TraceID] = true
+	}
+	if !want[slowID] || len(want) < 5 {
+		t.Fatalf("recorder lost traces: %d distinct, slow one kept %v", len(want), want[slowID])
+	}
+	var buf bytes.Buffer
+	n := f.WriteJSONL(NewTracer(&buf), TraceFilter{})
+	roots := map[string]int{}
+	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec struct {
+			Name  string `json:"name"`
+			Attrs struct {
+				TraceID string `json:"trace_id"`
+			} `json:"attrs"`
+		}
+		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Name == "request" {
+			roots[rec.Attrs.TraceID]++
+		}
+	}
+	if roots[slowID] != 1 {
+		t.Errorf("slow trace %s dumped %d times, want 1", slowID, roots[slowID])
+	}
+	for id, c := range roots {
+		if c != 1 || !want[id] {
+			t.Errorf("trace %s dumped %d times, want once (in recorder: %v)", id, c, want[id])
+		}
+	}
+	if n != len(want) || len(roots) != len(want) {
+		t.Errorf("dumped %d traces (%d distinct), want the %d distinct of ring and slowest index", n, len(roots), len(want))
+	}
+}
+
 func TestFlightWriteJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	f := NewFlight(FlightConfig{SampleRate: 1})
@@ -371,7 +442,7 @@ func TestHistogramExemplar(t *testing.T) {
 }
 
 func BenchmarkFlightWrite(b *testing.B) {
-	f := NewFlight(FlightConfig{}) // default 1% sampling
+	f := NewFlight(FlightConfig{SampleRate: 0.01})
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

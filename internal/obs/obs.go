@@ -1,7 +1,8 @@
 // Package obs is the repository's unified observability layer: a
 // dependency-free metrics registry (counters, gauges, and timing
-// histograms reusing internal/histogram) plus a lightweight span tracer
-// (see trace.go) that exports phase timings as JSONL.
+// histograms reusing internal/histogram) plus pooled request and job
+// traces kept by a flight recorder (see reqtrace.go and flight.go),
+// with a JSONL sink for them (trace.go).
 //
 // # Design
 //
@@ -22,9 +23,10 @@
 // hot-path cost at noise level.
 //
 // Scrapers read a consistent point-in-time view with Registry.Snapshot
-// (sorted, JSON-friendly) or render Prometheus text exposition with
-// Registry.WritePrometheus (see prom.go). Both are safe to call while
-// writers are updating the metrics.
+// (sorted) or render Prometheus text exposition with
+// Registry.WritePrometheus (see prom.go), the only exposition; both are
+// safe to call while writers are updating the metrics.
+// ParsePrometheus reads that text back into the Snapshot form.
 //
 // # Naming
 //

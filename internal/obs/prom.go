@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -123,4 +124,107 @@ func escapeLabel(v string) string {
 		}
 	}
 	return b.String()
+}
+
+// ParsePrometheus is the reader side of WritePrometheus: it reads text
+// exposition format 0.0.4 back into the Snapshot form, one Metric per
+// series in order of first appearance. A summary family's quantile
+// samples, _sum and _count fold into one KindHistogram series. Comment
+// lines other than "# TYPE" (exemplars among them) are skipped; a
+// sample outside its "# TYPE" family, an unknown type or a malformed
+// line is an error.
+func ParsePrometheus(r io.Reader) ([]Metric, error) {
+	kinds := map[string]Kind{"counter": KindCounter, "gauge": KindGauge, "summary": KindHistogram}
+	var (
+		out    []Metric
+		index  = map[string]int{} // series ID -> position in out
+		family string
+		kind   Kind
+	)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for line := 1; sc.Scan(); line++ {
+		text := sc.Text()
+		if text == "" || text[0] == '#' {
+			if f := strings.Fields(text); len(f) == 4 && f[1] == "TYPE" {
+				k, ok := kinds[f[3]]
+				if !ok {
+					return nil, fmt.Errorf("obs: line %d: unsupported metric type %q", line, f[3])
+				}
+				family, kind = f[2], k
+			}
+			continue
+		}
+		name, labels, v, err := parseSample(text)
+		if err != nil {
+			return nil, fmt.Errorf("obs: line %d: %v", line, err)
+		}
+		q := ""
+		if n := len(labels); kind == KindHistogram && name == family && n > 0 && labels[n-1].Key == "quantile" {
+			q, labels = labels[n-1].Value, labels[:n-1]
+		}
+		id := seriesID(family, labels)
+		i, ok := index[id]
+		if !ok {
+			i, index[id] = len(out), len(out)
+			out = append(out, Metric{Name: family, Labels: labels, Kind: kind})
+		}
+		m := &out[i]
+		switch {
+		case name == family && kind != KindHistogram:
+			m.Value = v
+		case name == family && q != "":
+			qv, err := strconv.ParseFloat(q, 64)
+			if err != nil {
+				return nil, fmt.Errorf("obs: line %d: bad quantile %q", line, q)
+			}
+			m.Quantiles = append(m.Quantiles, QuantileValue{Q: qv, Value: v})
+		case kind == KindHistogram && name == family+"_sum":
+			m.Sum = v
+		case kind == KindHistogram && name == family+"_count":
+			m.Count = int64(v)
+		default:
+			return nil, fmt.Errorf("obs: line %d: sample %s outside family %q", line, name, family)
+		}
+	}
+	return out, sc.Err()
+}
+
+// parseSample splits one exposition line, name{labels} value, into its
+// parts. A trailing timestamp is accepted and ignored.
+func parseSample(s string) (name string, labels []Label, v float64, err error) {
+	i := strings.IndexAny(s, "{ ")
+	if i <= 0 {
+		return "", nil, 0, fmt.Errorf("malformed sample %q", s)
+	}
+	name, s = s[:i], s[i:]
+	if s[0] == '{' {
+		s = s[1:]
+		for !strings.HasPrefix(s, "}") {
+			key, rest, ok := strings.Cut(s, `="`)
+			end := 0 // the closing quote: the first one no backslash escapes
+			for ; end < len(rest) && rest[end] != '"'; end++ {
+				if rest[end] == '\\' {
+					end++
+				}
+			}
+			if !ok || end >= len(rest) {
+				return "", nil, 0, fmt.Errorf("malformed labels in %s", name)
+			}
+			// escapeLabel's escapes (\\, \", \n) are Go string escapes.
+			val, err := strconv.Unquote(`"` + rest[:end] + `"`)
+			if err != nil {
+				return "", nil, 0, fmt.Errorf("%s: label %s: %v", name, key, err)
+			}
+			labels = append(labels, Label{Key: key, Value: val})
+			s = strings.TrimPrefix(rest[end+1:], ",")
+		}
+		s = s[1:]
+	}
+	f := strings.Fields(s)
+	if len(f) == 0 || len(f) > 2 {
+		return "", nil, 0, fmt.Errorf("malformed value in %s", name)
+	}
+	v, err = strconv.ParseFloat(f[0], 64)
+	return name, labels, v, err
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -72,6 +74,67 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 	}
 	if samples == 0 {
 		t.Fatal("no sample lines rendered")
+	}
+}
+
+// TestParsePrometheusRoundTrip: reading WritePrometheus's output back
+// yields Snapshot field for field, exemplars aside, over counters,
+// gauges, labelled and empty histograms, escaped label values and
+// special float values.
+func TestParsePrometheusRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("requests_total", "route", "classify").Add(3)
+	r.Counter("requests_total", "route", "models").Add(1)
+	r.Counter("plain_total")
+	r.Gauge("uptime_seconds").Set(12.5)
+	r.Gauge("weird_gauge", "a", "1", "b", "2").Set(1e21)
+	r.Gauge("tiny_gauge").Set(-3.25e-9)
+	r.Gauge("inf_gauge").Set(-1 / zero())
+	for _, route := range []string{"classify", "ingest"} {
+		h := r.Histogram("latency_seconds", 0, 1, 100, "route", route)
+		for i := 0; i < 50; i++ {
+			h.Observe(float64(i) / 70)
+		}
+	}
+	r.Histogram("latency_seconds", 0, 1, 100, "route", "reload") // no samples: no quantile lines
+	r.Histogram("exemplar_seconds", 0, 1, 10).ObserveExemplar(0.3, NewTraceID())
+	r.Counter("escaped_total", "path", "a\\b\"c\nd,e}f=\"").Inc()
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParsePrometheus(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.Snapshot()
+	for _, ms := range [][]Metric{got, want} {
+		for i := range ms {
+			ms[i].Exemplar = nil
+			if len(ms[i].Labels) == 0 {
+				ms[i].Labels = nil
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestParsePrometheusRejectsMalformed(t *testing.T) {
+	for _, text := range []string{
+		"orphan_total 1\n",                        // no # TYPE family
+		"# TYPE h histogram\nh_bucket 1\n",        // unsupported type
+		"# TYPE c counter\nother_total 1\n",       // outside its family
+		"# TYPE c counter\nc{a=\"x} 1\n",          // unterminated label
+		"# TYPE c counter\nc{a=\"\\q\"} 1\n",      // bad escape
+		"# TYPE c counter\nc one\n",               // bad value
+		"# TYPE s summary\ns{quantile=\"x\"} 1\n", // bad quantile
+	} {
+		if _, err := ParsePrometheus(strings.NewReader(text)); err == nil {
+			t.Errorf("ParsePrometheus(%q) succeeded, want an error", text)
+		}
 	}
 }
 

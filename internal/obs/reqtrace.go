@@ -32,8 +32,8 @@ type SpanRec struct {
 }
 
 // TraceRecord is the plain, copyable snapshot of one finished request
-// trace — the shape the flight recorder stores and /debug/traces and
-// the JSONL sink emit. Unlike the live RequestTrace it contains no
+// or job trace — the shape the flight recorder stores and /debug/traces
+// and the JSONL sink emit. Unlike the live RequestTrace it contains no
 // atomics, so ring slots copy it with a single struct assignment.
 type TraceRecord struct {
 	// Trace carries this request's trace ID and the server's root span
@@ -47,7 +47,9 @@ type TraceRecord struct {
 	TraceID  string `json:"trace_id"`
 	SpanID   string `json:"span_id"`
 	ParentID string `json:"parent_id,omitempty"`
-	// Route is the server's stable route label; Status the HTTP status.
+	// Route is the server's stable route label, or the job's kind
+	// (cluster_iteration, cluster_refine, stream_consolidate); Status
+	// the HTTP status, 200 for a finished job.
 	Route  string `json:"route"`
 	Status int    `json:"status"`
 	// Error marks a trace the sampler classified as failed (5xx or
@@ -84,12 +86,13 @@ func (r *TraceRecord) seal() {
 	}
 }
 
-// RequestTrace is the live, request-scoped trace being recorded: a
-// pooled fixed-size record plus an atomic span cursor, so concurrent
-// pool workers can open spans without a lock (each claims a distinct
-// slot). The nil *RequestTrace is a valid no-op — every method returns
-// immediately — so handlers thread tracing unconditionally and an
-// untraced server pays one nil check per span.
+// RequestTrace is the live trace of one request or job being recorded,
+// and the only way to open a span: a pooled fixed-size record plus an
+// atomic span cursor, so concurrent pool workers can open spans without
+// a lock (each claims a distinct slot). The nil *RequestTrace is a
+// valid no-op — every method returns immediately — so handlers thread
+// tracing unconditionally and an untraced server pays one nil check per
+// span.
 type RequestTrace struct {
 	rec    TraceRecord
 	parent SpanID // inbound caller span (zero when the trace starts here)

@@ -7,25 +7,25 @@ import (
 	"time"
 )
 
-// Tracer records spans (named, timed phases with attributes) as JSON
-// Lines on an io.Writer sink, for offline analysis of training runs
-// (cluseq -trace-out, experiments -trace-out). One record is written
-// per line, so the output can be streamed, tailed, and processed with
-// jq without ever holding a whole trace in memory.
+// Tracer is the JSON Lines sink for finished traces: the -trace-out
+// file of cluseq, experiments and cluseqd. It writes one record per
+// line, so the output can be streamed, tailed, and processed with jq
+// without ever holding a whole trace in memory. Spans are opened only
+// through RequestTrace (see Flight); a Flight with a Tracer attached
+// writes every retained trace here at finish time.
 //
 // Record shapes:
 //
-//	{"type":"span","name":"score","start_us":...,"dur_us":...,"attrs":{...}}
-//	{"type":"event","name":"reload","ts_us":...,"attrs":{...}}
+//	{"type":"span","name":"request","start_us":...,"dur_us":...,"attrs":{"trace_id":...,"span_id":...,"route":...,"status":...}}
+//	{"type":"span","name":"score","start_us":...,"dur_us":...,"attrs":{"trace_id":...,"parent":-1}}
+//	{"type":"event","name":"flight_dump","ts_us":...,"attrs":{"recent":...,"slowest":...}}
 //	{"type":"metrics","ts_us":...,"metrics":{"series{label=\"v\"}":...}}
 //
 // start_us/ts_us are Unix microseconds; dur_us is the span's duration
 // in microseconds measured with the monotonic clock.
 //
 // A Tracer is safe for concurrent use (records are serialized by a
-// mutex), and the nil *Tracer is a valid no-op — Span returns a nil
-// *Span whose End does nothing — so tracing, like the metrics
-// registry, is wired unconditionally and enabled by supplying a sink.
+// mutex), and the nil *Tracer is a valid no-op.
 type Tracer struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -47,75 +47,6 @@ func (t *Tracer) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
-}
-
-// Attr is one span/event attribute. Values must be JSON-encodable;
-// the helpers Int, Float, Str, and Bool cover the usual cases.
-type Attr struct {
-	Key   string
-	Value any
-}
-
-// Int returns an integer attribute.
-func Int(key string, v int) Attr { return Attr{key, v} }
-
-// Int64 returns a 64-bit integer attribute.
-func Int64(key string, v int64) Attr { return Attr{key, v} }
-
-// Float returns a float attribute.
-func Float(key string, v float64) Attr { return Attr{key, v} }
-
-// Str returns a string attribute.
-func Str(key, v string) Attr { return Attr{key, v} }
-
-// Bool returns a boolean attribute.
-func Bool(key string, v bool) Attr { return Attr{key, v} }
-
-// Span is one in-progress span; close it with End. The zero/nil Span
-// is a valid no-op.
-type Span struct {
-	tr    *Tracer
-	name  string
-	start time.Time
-	attrs []Attr
-}
-
-// Span starts a span. Attributes given here and to End are merged into
-// the record (End's win on key collision, since encoding happens last).
-func (t *Tracer) Span(name string, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{tr: t, name: name, start: time.Now(), attrs: attrs}
-}
-
-// End closes the span and writes its record.
-func (s *Span) End(attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	dur := time.Since(s.start)
-	rec := record{
-		Type:    "span",
-		Name:    s.name,
-		StartUS: s.start.UnixMicro(),
-		DurUS:   dur.Microseconds(),
-		Attrs:   mergeAttrs(s.attrs, attrs),
-	}
-	s.tr.write(rec)
-}
-
-// Event writes a point-in-time record (no duration).
-func (t *Tracer) Event(name string, attrs ...Attr) {
-	if t == nil {
-		return
-	}
-	t.write(record{
-		Type:  "event",
-		Name:  name,
-		TSUS:  time.Now().UnixMicro(),
-		Attrs: mergeAttrs(attrs, nil),
-	})
 }
 
 // EmitMetrics writes a point-in-time snapshot of the registry as one
@@ -162,20 +93,6 @@ type record struct {
 	TSUS    int64          `json:"ts_us,omitempty"`
 	Attrs   map[string]any `json:"attrs,omitempty"`
 	Metrics map[string]any `json:"metrics,omitempty"`
-}
-
-func mergeAttrs(a, b []Attr) map[string]any {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make(map[string]any, len(a)+len(b))
-	for _, at := range a {
-		out[at.Key] = at.Value
-	}
-	for _, at := range b {
-		out[at.Key] = at.Value
-	}
-	return out
 }
 
 func (t *Tracer) write(rec record) {

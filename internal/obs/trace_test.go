@@ -27,11 +27,15 @@ func decodeJSONL(t *testing.T, out string) []map[string]any {
 func TestTracerSpansEventsMetrics(t *testing.T) {
 	var sb strings.Builder
 	tr := NewTracer(&sb)
+	f := NewFlight(FlightConfig{SampleRate: 1, Tracer: tr})
 
-	sp := tr.Span("score", Int("iter", 1), Str("mode", "snapshot"))
+	job := f.Begin("cluster_iteration", TraceContext{Sampled: true})
+	id := job.TraceID().String()
+	sp := job.StartSpan("score")
 	time.Sleep(time.Millisecond)
-	sp.End(Int("pairs", 42), Str("mode", "override"))
-	tr.Event("reload", Bool("ok", true))
+	sp.End()
+	f.Finish(job, 200)
+	f.WriteJSONL(tr, TraceFilter{})
 
 	reg := NewRegistry()
 	reg.Counter("c_total").Add(7)
@@ -44,37 +48,42 @@ func TestTracerSpansEventsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := decodeJSONL(t, sb.String())
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
+	// Finish writes root + span, the dump an event and the trace again.
+	if len(recs) != 6 {
+		t.Fatalf("got %d records, want 6:\n%s", len(recs), sb.String())
 	}
 
-	span := recs[0]
+	root, span := recs[0], recs[1]
+	if root["type"] != "span" || root["name"] != "request" {
+		t.Fatalf("root record = %v", root)
+	}
+	rattrs := root["attrs"].(map[string]any)
+	if rattrs["route"] != "cluster_iteration" || rattrs["status"] != 200.0 || rattrs["trace_id"] != id {
+		t.Fatalf("root attrs = %v", rattrs)
+	}
 	if span["type"] != "span" || span["name"] != "score" {
 		t.Fatalf("span record = %v", span)
 	}
-	if span["start_us"].(float64) <= 0 {
-		t.Fatal("span missing start_us")
+	if span["start_us"].(float64) < root["start_us"].(float64) {
+		t.Fatal("span starts before its trace")
 	}
 	if span["dur_us"].(float64) < 1000 {
 		t.Fatalf("dur_us = %v, want >= 1000 (slept 1ms)", span["dur_us"])
 	}
 	attrs := span["attrs"].(map[string]any)
-	if attrs["iter"] != 1.0 || attrs["pairs"] != 42.0 {
+	if attrs["trace_id"] != rattrs["trace_id"] || attrs["parent"] != -1.0 {
 		t.Fatalf("span attrs = %v", attrs)
 	}
-	if attrs["mode"] != "override" {
-		t.Fatalf("End attrs must win on collision, got %v", attrs["mode"])
-	}
 
-	event := recs[1]
-	if event["type"] != "event" || event["name"] != "reload" {
+	event := recs[2]
+	if event["type"] != "event" || event["name"] != "flight_dump" {
 		t.Fatalf("event record = %v", event)
 	}
-	if event["attrs"].(map[string]any)["ok"] != true {
-		t.Fatalf("event attrs = %v", event["attrs"])
+	if ea := event["attrs"].(map[string]any); ea["recent"] != 1.0 || ea["slowest"] != 1.0 {
+		t.Fatalf("event attrs = %v", ea)
 	}
 
-	met := recs[2]
+	met := recs[5]
 	if met["type"] != "metrics" {
 		t.Fatalf("metrics record = %v", met)
 	}
@@ -103,12 +112,13 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestTracerErrLatches(t *testing.T) {
 	w := &failWriter{}
 	tr := NewTracer(w)
-	tr.Event("a")
+	tr.EmitMetrics(NewRegistry())
 	if tr.Err() == nil {
 		t.Fatal("write failure must surface via Err")
 	}
-	tr.Event("b")
-	tr.Span("s").End()
+	tr.EmitMetrics(NewRegistry())
+	f := NewFlight(FlightConfig{SampleRate: 1, Tracer: tr})
+	f.Finish(f.Begin("classify", TraceContext{}), 200)
 	if w.n != 1 {
 		t.Fatalf("records after a failed write must be dropped, wrote %d times", w.n)
 	}
@@ -117,14 +127,17 @@ func TestTracerErrLatches(t *testing.T) {
 func TestTracerConcurrent(t *testing.T) {
 	var sb safeBuilder
 	tr := NewTracer(&sb)
+	f := NewFlight(FlightConfig{SampleRate: 1, Tracer: tr})
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
-		go func(g int) {
+		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				tr.Span("phase", Int("g", g), Int("i", i)).End()
+				job := f.Begin("cluster_iteration", TraceContext{})
+				job.StartSpan("generate").End()
+				f.Finish(job, 200)
 			}
-		}(g)
+		}()
 	}
 	for g := 0; g < 4; g++ {
 		<-done
@@ -132,9 +145,10 @@ func TestTracerConcurrent(t *testing.T) {
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
+	// One root record and one span record per trace.
 	recs := decodeJSONL(t, sb.String())
-	if len(recs) != 800 {
-		t.Fatalf("got %d records, want 800", len(recs))
+	if len(recs) != 1600 {
+		t.Fatalf("got %d records, want 1600", len(recs))
 	}
 }
 

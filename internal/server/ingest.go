@@ -93,9 +93,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Clusters = s.stream.Stats().Clusters
-	elapsed := time.Since(start)
-	s.metrics.ingestLatency.Observe(float64(elapsed) / float64(time.Millisecond))
-	resp.ElapsedMs = float64(elapsed) / float64(time.Millisecond)
+	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
 	enc := tr.StartSpan("ingest_encode")
 	writeJSON(w, resp)
 	enc.End()

@@ -20,16 +20,18 @@ import (
 
 // newStreamServer builds a Server over an empty model directory plus a
 // live streaming engine publishing into the registry under "stream" —
-// the same wiring cluseqd -stream sets up.
+// the same wiring cluseqd -stream sets up, with one flight recorder at
+// sample rate 0 for both the requests and the consolidation jobs.
 func newStreamServer(t *testing.T, consolidateEvery int) (*Server, *stream.Engine) {
 	t.Helper()
 	reg, _, err := registry.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One metrics registry spans the engine and the server, mirroring
-	// cluseqd's wiring, so /metrics projects the stream series.
+	// One metrics registry and one flight recorder span the engine and
+	// the server, mirroring cluseqd's wiring.
 	met := obs.NewRegistry()
+	flight := obs.NewFlight(obs.FlightConfig{SlowThreshold: time.Hour, Obs: met})
 	eng, err := stream.New(stream.Config{
 		Alphabet:            seq.MustAlphabet("abcd"),
 		SimilarityThreshold: 1.05,
@@ -43,13 +45,14 @@ func newStreamServer(t *testing.T, consolidateEvery int) (*Server, *stream.Engin
 				t.Errorf("Publish v%d: %v", version, err)
 			}
 		},
-		Obs: met,
+		Obs:    met,
+		Flight: flight,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	s, err := New(Config{Registry: reg, Stream: eng, Obs: met})
+	s, err := New(Config{Registry: reg, Stream: eng, Obs: met, Flight: flight})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"cluseq/internal/obs"
@@ -19,18 +17,12 @@ type metrics struct {
 
 	sequences *obs.Counter   // sequences classified
 	outliers  *obs.Counter   // of which below every threshold
-	uptime    *obs.Gauge     // refreshed at each Prometheus scrape
-	latency   *obs.Histogram // classify latency, milliseconds (legacy JSON shape)
+	uptime    *obs.Gauge     // refreshed at each scrape
 	inflight  *obs.Gauge     // requests currently inside a handler
 	batchSize *obs.Histogram // sequences per classify request
 
-	ingestLatency *obs.Histogram // ingest request latency, milliseconds
-	ingestBatch   *obs.Histogram // sequences per ingest request
+	ingestBatch *obs.Histogram // sequences per ingest request
 }
-
-// latencyDomainMs bounds the latency histogram; slower requests clamp
-// into the last bucket, so tail quantiles saturate at the domain edge.
-const latencyDomainMs = 2000
 
 func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
@@ -42,24 +34,16 @@ func newMetrics(reg *obs.Registry) *metrics {
 		sequences: reg.Counter("cluseqd_sequences_total"),
 		outliers:  reg.Counter("cluseqd_outliers_total"),
 		uptime:    reg.Gauge("cluseqd_uptime_seconds"),
-		// 400 buckets of 5 ms over [0, 2s).
-		latency: reg.Histogram("cluseqd_classify_latency_ms", 0, latencyDomainMs, 400),
 		// Load-harness-facing series: the inflight gauge exposes queueing
 		// under open-loop load, and the batch-size distribution lets a
 		// replayed scenario be checked against what the server saw.
 		inflight: reg.Gauge("cluseqd_inflight_requests"),
 		// 256 buckets of width 4 over [0, 1024), the default MaxBatch.
 		batchSize: reg.Histogram("cluseqd_classify_batch_size", 0, 1024, 256),
-		// Ingest mirrors the classify shapes so dashboards can overlay
+		// Ingest mirrors the classify shape so dashboards can overlay
 		// the two request kinds.
-		ingestLatency: reg.Histogram("cluseqd_ingest_latency_ms", 0, latencyDomainMs, 400),
-		ingestBatch:   reg.Histogram("cluseqd_ingest_batch_size", 0, 1024, 256),
+		ingestBatch: reg.Histogram("cluseqd_ingest_batch_size", 0, 1024, 256),
 	}
-}
-
-//cluseq:hotpath
-func (m *metrics) observeLatency(d time.Duration) {
-	m.latency.Observe(float64(d) / float64(time.Millisecond))
 }
 
 // observeRoute records one finished request: a per-route count, a
@@ -88,78 +72,4 @@ func (m *metrics) countError(class string) {
 
 func (m *metrics) countClassifications(model string, n int64) {
 	m.reg.Counter("cluseqd_classifications_total", "model", model).Add(n)
-}
-
-// snapshot renders the registry into the daemon's legacy JSON metrics
-// shape (the GET /metrics default). The keys and nesting predate the
-// obs registry and are kept stable for existing scrapers; the maps are
-// now projections of the labeled obs series.
-func (m *metrics) snapshot() map[string]any {
-	requests := map[string]int64{}
-	errors := map[string]int64{}
-	perModel := map[string]int64{}
-	streamSeries := map[string]any{}
-	for _, mt := range m.reg.Snapshot() {
-		// Project every cluseq_stream_* family (engine and its pool) by
-		// full family name, so a series added to the engine later shows
-		// up here without another projection fix. All stream series are
-		// unlabeled; TestSnapshotProjectsStreamSeries diffs this map
-		// against the Prometheus exposition.
-		if strings.HasPrefix(mt.Name, "cluseq_stream_") {
-			if mt.Kind == obs.KindHistogram {
-				h := map[string]any{"count": mt.Count, "sum": mt.Sum}
-				for _, qv := range mt.Quantiles {
-					h[fmt.Sprintf("p%g", qv.Q*100)] = qv.Value
-				}
-				streamSeries[mt.Name] = h
-			} else {
-				streamSeries[mt.Name] = mt.Value
-			}
-		}
-		switch mt.Name {
-		case "cluseqd_requests_total":
-			if r := mt.Label("route"); r != "" {
-				requests[r] = int64(mt.Value)
-			}
-		case "cluseqd_errors_total":
-			if c := mt.Label("class"); c != "" {
-				errors[c] = int64(mt.Value)
-			}
-		case "cluseqd_classifications_total":
-			if name := mt.Label("model"); name != "" {
-				perModel[name] = int64(mt.Value)
-			}
-		}
-	}
-	p50, _ := m.latency.Quantile(0.50)
-	p95, _ := m.latency.Quantile(0.95)
-	p99, _ := m.latency.Quantile(0.99)
-
-	seqs := m.sequences.Value()
-	outliers := m.outliers.Value()
-	rate := 0.0
-	if seqs > 0 {
-		rate = float64(outliers) / float64(seqs)
-	}
-	out := map[string]any{
-		"uptime_seconds":  time.Since(m.start).Seconds(),
-		"requests":        requests,
-		"errors":          errors,
-		"sequences_total": seqs,
-		"classifications": perModel,
-		"outliers_total":  outliers,
-		"outlier_rate":    rate,
-		"latency_ms": map[string]any{
-			"count": m.latency.Count(),
-			"p50":   p50,
-			"p95":   p95,
-			"p99":   p99,
-		},
-	}
-	// Key absent entirely when streaming is disabled, preserving the
-	// pre-stream JSON shape for existing scrapers.
-	if len(streamSeries) > 0 {
-		out["stream"] = streamSeries
-	}
-	return out
 }

@@ -75,10 +75,10 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// routeOf maps a request path to the stable route label used by the
-// request metrics and the legacy JSON "requests" map. The names for the
-// API routes predate the obs registry (classify/models/reload) and are
-// kept for scraper compatibility.
+// routeOf maps a request path to the stable route label of the request
+// metrics and traces. The names for the API routes predate the obs
+// registry (classify/models/reload) and are kept for scraper
+// compatibility.
 func routeOf(path string) string {
 	switch path {
 	case "/v1/classify":

@@ -3,18 +3,22 @@ package server
 import (
 	"math"
 	rtm "runtime/metrics"
+	"sync"
 
 	"cluseq/internal/obs"
 )
 
 // goStats exports a curated slice of runtime/metrics as cluseqd_go_*
-// gauges, refreshed at each Prometheus scrape: the runtime signals that
+// gauges, refreshed at each scrape: the runtime signals that
 // explain a latency regression from outside the request path — GC
 // pauses, scheduler queuing, goroutine count, and heap size. Quantile
 // gauges are read from the runtime's own histograms, so they cover the
 // whole process lifetime (like the SLO gauges, rate-window analysis is
 // the scraper's job).
 type goStats struct {
+	// mu serializes refreshes: rtm.Read reuses the samples' histogram
+	// storage, so concurrent scrapes must not share the slice unguarded.
+	mu      sync.Mutex
 	samples []rtm.Sample
 
 	goroutines *obs.Gauge
@@ -56,6 +60,8 @@ func newGoStats(reg *obs.Registry) *goStats {
 
 // refresh re-reads the runtime samples into the gauges.
 func (g *goStats) refresh() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	rtm.Read(g.samples)
 	for i := range g.samples {
 		s := &g.samples[i]

@@ -13,10 +13,12 @@
 //	GET  /v1/ingest/stats   streaming engine counters, threshold, drift
 //	GET  /healthz           liveness (always 200 while the process serves)
 //	GET  /readyz            readiness (200 once ≥ 1 model is loaded, else 503)
-//	GET  /metrics           JSON counters: requests, errors, per-model
-//	                        classifications, outlier rate, latency quantiles;
-//	                        ?format=prom yields the same registry as
-//	                        Prometheus text exposition (format 0.0.4)
+//	GET  /metrics           the metrics registry as Prometheus text
+//	                        exposition (format 0.0.4): requests, errors,
+//	                        per-model classifications, outliers, route
+//	                        latency, SLO and Go runtime gauges
+//	GET  /debug/traces      the flight recorder: recent and slowest
+//	                        retained request and job traces
 //
 // Every response carries an X-Request-ID header (echoing the caller's,
 // or generated), the same ID appears in the access log and in JSON
@@ -75,11 +77,13 @@ type Config struct {
 	// and asserts the latency-regression comparator fires (see
 	// benchmarks/README.md). Never set it in production.
 	ClassifyDelay time.Duration
-	// Flight, when non-nil, is the request-trace flight recorder the
-	// server begins and finishes traces against (see obs.Flight). Nil
-	// builds a default always-on recorder (256-trace ring, top-16
-	// slowest, 1% head sampling, 250ms slow threshold) wired to Obs —
-	// pass a configured one to change sampling or attach a JSONL sink.
+	// Flight, when non-nil, is the trace flight recorder the server
+	// begins and finishes request traces against (see obs.Flight); pass
+	// the one the stream engine records its consolidation jobs on to see
+	// both in GET /debug/traces. Nil builds a default always-on recorder
+	// (256-trace ring, top-16 slowest, 1% head sampling, 250ms slow
+	// threshold) wired to Obs — pass a configured one to change sampling
+	// or attach a JSONL sink.
 	Flight *obs.Flight
 	// SLOs declares the service-level objectives exported as
 	// cluseqd_slo_* burn-rate gauges (see SLO and ParseSLO). Empty means
@@ -149,7 +153,7 @@ func New(cfg Config) (*Server, error) {
 		logf:          logf,
 	}
 	if s.flight == nil {
-		s.flight = obs.NewFlight(obs.FlightConfig{Obs: s.metrics.reg})
+		s.flight = obs.NewFlight(obs.FlightConfig{SampleRate: 0.01, Obs: s.metrics.reg})
 	}
 	s.goStats = newGoStats(s.metrics.reg)
 	s.pool.Instrument(s.metrics.reg, "cluseqd_pool")
@@ -370,9 +374,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sequences.Add(int64(classified))
 	s.metrics.outliers.Add(int64(resp.Outliers))
 	s.metrics.countClassifications(req.Model, int64(classified))
-	elapsed := time.Since(start)
-	s.metrics.observeLatency(elapsed)
-	resp.ElapsedMs = float64(elapsed) / float64(time.Millisecond)
+	resp.ElapsedMs = float64(time.Since(start)) / float64(time.Millisecond)
 	enc := tr.StartSpan("classify_encode")
 	writeJSON(w, resp)
 	enc.End()
@@ -433,18 +435,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
+// handleMetrics writes the registry as Prometheus text, the only
+// exposition. Any format query is ignored, so scrapers that still ask
+// for ?format=prom keep working.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		s.metrics.uptime.Set(time.Since(s.metrics.start).Seconds())
-		// Scrape-time refreshes: SLO burn rates from the route
-		// histograms, Go runtime telemetry from runtime/metrics.
-		s.updateSLOGauges()
-		s.goStats.refresh()
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.metrics.reg.WritePrometheus(w); err != nil {
-			s.logf("server: writing prometheus exposition: %v", err)
-		}
-		return
+	s.metrics.uptime.Set(time.Since(s.metrics.start).Seconds())
+	// Scrape-time refreshes: SLO burn rates from the route histograms,
+	// Go runtime telemetry from runtime/metrics.
+	s.updateSLOGauges()
+	s.goStats.refresh()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if err := s.metrics.reg.WritePrometheus(w); err != nil {
+		s.logf("server: writing prometheus exposition: %v", err)
 	}
-	writeJSON(w, s.metrics.snapshot())
 }

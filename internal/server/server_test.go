@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"cluseq/internal/core"
+	"cluseq/internal/obs"
 	"cluseq/internal/pst"
 	"cluseq/internal/registry"
 	"cluseq/internal/seq"
@@ -256,42 +257,41 @@ func TestHealthReadyMetrics(t *testing.T) {
 	postClassify(t, ts.URL, `{"model":"m","sequences":["abababab","dddddddd"]}`)
 	postClassify(t, ts.URL, `{"model":"ghost","sequence":"ab"}`)
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	series := scrape(t, ts.URL)
+	for id, want := range map[string]float64{
+		`cluseqd_requests_total{route="classify"}`: 2,
+		`cluseqd_errors_total{class="not_found"}`:  1,
+		"cluseqd_sequences_total":                  2,
+		`cluseqd_classifications_total{model="m"}`: 2,
+		"cluseqd_outliers_total":                   1,
+	} {
+		if got := series[id].Value; got != want {
+			t.Errorf("%s = %v, want %v", id, got, want)
+		}
+	}
+	if lat := series[`cluseqd_request_seconds{route="classify"}`]; lat.Count != 2 || len(lat.Quantiles) != 3 {
+		t.Errorf("classify latency summary: %+v", lat)
+	}
+}
+
+// scrape fetches GET /metrics and reads the exposition back, keyed by
+// series identity (name{labels}).
+func scrape(t testing.TB, url string) map[string]obs.Metric {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var metrics struct {
-		Requests        map[string]int64 `json:"requests"`
-		Errors          map[string]int64 `json:"errors"`
-		SequencesTotal  int64            `json:"sequences_total"`
-		Classifications map[string]int64 `json:"classifications"`
-		OutliersTotal   int64            `json:"outliers_total"`
-		OutlierRate     float64          `json:"outlier_rate"`
-		Latency         struct {
-			Count int64   `json:"count"`
-			P50   float64 `json:"p50"`
-			P99   float64 `json:"p99"`
-		} `json:"latency_ms"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
+	ms, err := obs.ParsePrometheus(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics.Requests["classify"] != 2 {
-		t.Fatalf("classify requests = %d, want 2", metrics.Requests["classify"])
+	out := make(map[string]obs.Metric, len(ms))
+	for _, m := range ms {
+		out[m.ID()] = m
 	}
-	if metrics.Errors["not_found"] != 1 {
-		t.Fatalf("not_found errors = %d, want 1", metrics.Errors["not_found"])
-	}
-	if metrics.SequencesTotal != 2 || metrics.Classifications["m"] != 2 {
-		t.Fatalf("sequence counters: %+v", metrics)
-	}
-	if metrics.OutliersTotal != 1 || metrics.OutlierRate != 0.5 {
-		t.Fatalf("outlier counters: total %d rate %v", metrics.OutliersTotal, metrics.OutlierRate)
-	}
-	if metrics.Latency.Count != 1 || metrics.Latency.P99 < 0 {
-		t.Fatalf("latency histogram: %+v", metrics.Latency)
-	}
+	return out
 }
 
 // TestRequestIDPropagation pins the correlation-ID contract: a caller's
@@ -374,9 +374,10 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
-// TestMetricsPrometheus checks the ?format=prom surface: correct content
-// type and well-formed exposition lines covering the server, pool, and
-// registry metric families.
+// TestMetricsPrometheus checks the one exposition, with and without the
+// ?format=prom query older scrapers send: correct content type and
+// well-formed lines covering the server, pool, and registry metric
+// families, and no millisecond duplicate of the route latency.
 func TestMetricsPrometheus(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -389,13 +390,20 @@ func TestMetricsPrometheus(t *testing.T) {
 	}
 	rr.Body.Close()
 
-	resp, err := http.Get(ts.URL + "/metrics?format=prom")
+	for _, path := range []string{"/metrics", "/metrics?format=prom"} {
+		checkExposition(t, ts.URL+path)
+	}
+}
+
+func checkExposition(t *testing.T, url string) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("Content-Type = %q", ct)
+		t.Fatalf("%s: Content-Type = %q", url, ct)
 	}
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -410,8 +418,8 @@ func TestMetricsPrometheus(t *testing.T) {
 		"cluseqd_sequences_total 2",
 		"cluseqd_outliers_total 1",
 		`cluseqd_classifications_total{model="m"} 2`,
-		"# TYPE cluseqd_classify_latency_ms summary",
-		"cluseqd_classify_latency_ms_count 1",
+		"# TYPE cluseqd_request_seconds summary",
+		`cluseqd_request_seconds_count{route="classify"} 2`,
 		"# TYPE cluseqd_uptime_seconds gauge",
 		"# TYPE cluseqd_inflight_requests gauge",
 		// The scrape itself is the one request in flight at read time.
@@ -423,7 +431,12 @@ func TestMetricsPrometheus(t *testing.T) {
 		"cluseqd_pool_runs_total",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q", want)
+			t.Errorf("%s: exposition missing %q", url, want)
+		}
+	}
+	for _, gone := range []string{"cluseqd_classify_latency_ms", "cluseqd_ingest_latency_ms"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("%s: exposition still carries %s", url, gone)
 		}
 	}
 	// Every non-comment line must be "name_or_labels value".

@@ -118,10 +118,10 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestTraceHeadSamplingDrops checks the other half of the tail policy:
-// a fast, successful, unsampled request at a negligible sample rate gets
-// a trace ID on the wire but is not retained in the flight recorder.
+// a fast, successful, unsampled request at sample rate 0 gets a trace ID
+// on the wire but is not retained in the flight recorder.
 func TestTraceHeadSamplingDrops(t *testing.T) {
-	flight := obs.NewFlight(obs.FlightConfig{SampleRate: 1e-12, SlowThreshold: time.Hour})
+	flight := obs.NewFlight(obs.FlightConfig{SampleRate: 0, SlowThreshold: time.Hour})
 	s, _ := newTestServer(t, Config{Flight: flight})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -146,9 +146,9 @@ func TestTraceHeadSamplingDrops(t *testing.T) {
 // (client's fault), but the handler status is recorded; a forced 5xx is
 // always kept. The cheapest server-side 5xx here is ingest with
 // streaming disabled... which is a 503 on an untraced-by-sampling path,
-// so drive it at the same negligible sample rate as above.
+// so drive it at the same sample rate 0 as above.
 func TestTraceErrorAlwaysRetained(t *testing.T) {
-	flight := obs.NewFlight(obs.FlightConfig{SampleRate: 1e-12, SlowThreshold: time.Hour})
+	flight := obs.NewFlight(obs.FlightConfig{SampleRate: 0, SlowThreshold: time.Hour})
 	s, _ := newTestServer(t, Config{Flight: flight}) // no Stream: ingest → 503
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -236,6 +236,83 @@ func TestUntracedRoutesGetNoTraceID(t *testing.T) {
 	}
 	if dump := getDump(t, ts.URL, ""); len(dump.Recent) != 0 {
 		t.Errorf("probe traffic leaked %d traces into the recorder", len(dump.Recent))
+	}
+}
+
+// TestTraceConsolidationJoinsIngest: each stream consolidation is a job
+// trace on the server's flight recorder, kept at sample rate 0. A pass
+// triggered by a traced ingest shares that request's trace ID and hangs
+// off its root span; a forced pass starts a trace of its own.
+func TestTraceConsolidationJoinsIngest(t *testing.T) {
+	s, eng := newStreamServer(t, 4)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const batch = `{"sequences":["abababab","babababa","abababab","babababa"]}`
+
+	// An unsampled ingest tripping a pass: the request is sampled out,
+	// the job is kept.
+	resp, _, data := postIngest(t, ts.URL, batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d: %s", resp.StatusCode, data)
+	}
+	plainID := resp.Header.Get(TraceIDHeader)
+
+	// A sampled ingest tripping a pass: the request is kept too, so the
+	// parent link to its root span can be checked.
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/ingest", strings.NewReader(batch))
+	req.Header.Set(TraceparentHeader, inboundTraceparent)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	// A pass outside any request.
+	postIngest(t, ts.URL, `{"sequence":"abababab"}`)
+	eng.ConsolidateNow()
+
+	ingests := getDump(t, ts.URL, "?route=ingest").Recent
+	if len(ingests) != 1 || ingests[0].TraceID != inboundTraceID {
+		t.Fatalf("retained ingests %+v, want only the sampled one", ingests)
+	}
+	sampled := ingests[0]
+	found := false
+	for _, sp := range sampled.Spans {
+		found = found || sp.Name == "stream_consolidate"
+	}
+	if !found {
+		t.Errorf("sampled ingest lost its stream_consolidate span: %+v", sampled.Spans)
+	}
+
+	jobs := getDump(t, ts.URL, "?route=stream_consolidate").Recent
+	if len(jobs) != 3 {
+		t.Fatalf("retained %d consolidation jobs, want 3", len(jobs))
+	}
+	byTrace := map[string]obs.TraceRecord{}
+	for _, j := range jobs {
+		byTrace[j.TraceID] = j
+		if j.Status != http.StatusOK || len(j.Spans) != 3 {
+			t.Errorf("job %s: status %d, spans %+v", j.TraceID, j.Status, j.Spans)
+		}
+		for i, name := range []string{"stream_merge", "stream_threshold", "stream_publish"} {
+			if i < len(j.Spans) && (j.Spans[i].Name != name || j.Spans[i].Parent != -1 || j.Spans[i].DurUS < 0) {
+				t.Errorf("job %s span %d = %+v, want finished %s under the root", j.TraceID, i, j.Spans[i], name)
+			}
+		}
+	}
+	if j, ok := byTrace[plainID]; !ok || j.ParentID == "" {
+		t.Errorf("pass tripped by ingest %s: %+v, want it in that trace with a parent", plainID, j)
+	}
+	if j, ok := byTrace[inboundTraceID]; !ok || j.ParentID != sampled.SpanID {
+		t.Errorf("pass tripped by the sampled ingest: parent %q, want its root span %q", j.ParentID, sampled.SpanID)
+	}
+	delete(byTrace, plainID)
+	delete(byTrace, inboundTraceID)
+	for id, j := range byTrace {
+		if j.ParentID != "" {
+			t.Errorf("forced pass %s has parent %q, want a trace of its own", id, j.ParentID)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cluseq/internal/core"
-	"cluseq/internal/obs"
 	"cluseq/internal/pst"
 )
 
@@ -36,21 +35,27 @@ func (e *Engine) consolidateLocked() {
 
 	// When a traced ingest triggered this pass, the pass's full cost
 	// lands on that request's trace — the §4.5/4.6 work is exactly the
-	// latency outlier the flight recorder exists to explain.
+	// latency outlier the flight recorder exists to explain. The pass is
+	// also a job trace of its own, sampled so the recorder keeps it: a
+	// child of that request (same trace ID, the request's root span as
+	// parent), or a fresh trace for a flush-timer or ConsolidateNow pass.
 	reqSpan := e.curTrace.StartSpan("stream_consolidate")
 	defer reqSpan.End()
+	inbound := e.curTrace.Context()
+	inbound.Sampled = true
+	job := e.cfg.Flight.Begin("stream_consolidate", inbound)
+	defer e.cfg.Flight.Finish(job, 200)
 
-	sp := e.cfg.Tracer.Span("stream_merge", obs.Int64("pass", e.consolidations), obs.Int("clusters", len(e.clusters)))
+	sp := job.StartSpan("stream_merge")
 	start := time.Now() //cluseq:allow determinism: timestamp feeds the phase-seconds histogram only, never the clustering state
 	merged, dissolved := e.mergeAndDissolve()
 	e.met.mergeSeconds.ObserveSince(start)
-	sp.End(obs.Int("merged", merged), obs.Int("dissolved", dissolved))
+	sp.End()
 
-	sp = e.cfg.Tracer.Span("stream_threshold", obs.Int64("pass", e.consolidations))
+	sp = job.StartSpan("stream_threshold")
 	tBefore := e.thr.Threshold()
-	valley := 0.0
 	if !e.cfg.FixedThreshold {
-		valley, _ = e.thr.Adjust(e.simRing[:e.simLen], false)
+		e.thr.Adjust(e.simRing[:e.simLen], false)
 	}
 	t := e.thr.Threshold()
 	// Drift is the threshold's per-consolidation movement: a stationary
@@ -64,7 +69,7 @@ func (e *Engine) consolidateLocked() {
 	e.met.threshold.Set(t)
 	e.met.thresholdDrift.Set(e.lastDrift)
 	e.met.thresholdHistory.Observe(t)
-	sp.End(obs.Float("t", t), obs.Float("valley", valley), obs.Float("drift", e.lastDrift))
+	sp.End()
 
 	// Refresh the background from the running symbol counts, then
 	// recompile every snapshot against it (similarities are only
@@ -84,9 +89,9 @@ func (e *Engine) consolidateLocked() {
 		c.snap = c.tree.CompileSnapshot(e.background)
 	}
 
-	sp = e.cfg.Tracer.Span("stream_publish", obs.Int64("pass", e.consolidations))
-	published := e.publishLocked()
-	sp.End(obs.Bool("published", published), obs.Int64("version", int64(e.version)))
+	sp = job.StartSpan("stream_publish")
+	e.publishLocked()
+	sp.End()
 
 	e.observeLocked()
 	if e.cfg.Logf != nil {
@@ -198,13 +203,13 @@ func (e *Engine) coverage(c, target *scluster) float64 {
 // publishLocked freezes the current clusters into a classifier and
 // hands it to the Publish callback. Trees are deep-cloned so the
 // published model is immutable while the live trees keep absorbing the
-// stream; reports whether a snapshot went out (an empty engine
-// publishes nothing — a classifier needs at least one cluster).
+// stream. An empty engine publishes nothing: a classifier needs at
+// least one cluster.
 //
 //cluseq:deterministic
-func (e *Engine) publishLocked() bool {
+func (e *Engine) publishLocked() {
 	if e.cfg.Publish == nil || len(e.clusters) == 0 {
-		return false
+		return
 	}
 	trees := make([]*pst.Tree, len(e.clusters))
 	for i, c := range e.clusters {
@@ -219,7 +224,6 @@ func (e *Engine) publishLocked() bool {
 	e.met.published.Inc()
 	e.met.publishedVersion.Set(float64(e.version))
 	e.cfg.Publish(clf, e.version)
-	return true
 }
 
 // observeLocked refreshes the size gauges.

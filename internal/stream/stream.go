@@ -127,9 +127,12 @@ type Config struct {
 	Publish func(clf *core.Classifier, version uint64)
 	// Obs, when non-nil, receives the stream metrics (see DESIGN.md §13).
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives one span per consolidation phase
-	// (stream_merge, stream_threshold, stream_publish).
-	Tracer *obs.Tracer
+	// Flight, when non-nil, records each consolidation as a
+	// stream_consolidate job trace with stream_merge, stream_threshold
+	// and stream_publish spans. A pass triggered by a traced ingest
+	// joins that request's trace as its child. Share the server's
+	// recorder to see both in GET /debug/traces.
+	Flight *obs.Flight
 	// Logf, when non-nil, receives one line per consolidation.
 	Logf func(format string, args ...any)
 }

@@ -6,8 +6,8 @@
 // as string literals must be valid Prometheus series names and unique
 // across the whole program — two packages registering the same name, or
 // the same name as different metric kinds, collide silently at runtime.
-// Third, span names passed as literals to RequestTrace.StartSpan,
-// RequestTrace.StartSpanUnder, and Tracer.Span must be lower_snake
+// Third, span names passed as literals to RequestTrace.StartSpan and
+// RequestTrace.StartSpanUnder, the only span openers, must be lower_snake
 // identifiers (the span taxonomy is grep'd by dashboards and the CI
 // trace-identity check), and a span started into a named handle must be
 // ended — by a direct End call or a defer — somewhere in the same
@@ -54,7 +54,6 @@ var spanStarters = map[string]struct {
 }{
 	"StartSpan":      {"RequestTrace", 0},
 	"StartSpanUnder": {"RequestTrace", 1},
-	"Span":           {"Tracer", 0},
 }
 
 func run(pass *analysis.Pass) error {

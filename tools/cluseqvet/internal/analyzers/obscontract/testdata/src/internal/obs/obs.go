@@ -64,8 +64,8 @@ func (r *Registry) Histogram(name string, lo, hi float64, buckets int, labels ..
 	return &Counter{}
 }
 
-// Span surface, mirroring the real package's request-trace and tracer
-// span openers for the span-name and span-end checks.
+// Span surface, mirroring the real package's request-trace span openers
+// for the span-name and span-end checks.
 
 type SpanHandle struct{ idx int }
 
@@ -83,23 +83,4 @@ func (t *RequestTrace) StartSpanUnder(parent SpanHandle, name string) SpanHandle
 	}
 	t.n++
 	return SpanHandle{idx: t.n}
-}
-
-type Span struct{ name string }
-
-func (s *Span) End(attrs ...int) {
-	if s == nil {
-		return
-	}
-	s.name = ""
-}
-
-type Tracer struct{ spans int }
-
-func (t *Tracer) Span(name string, attrs ...int) *Span {
-	if t == nil {
-		return nil
-	}
-	t.spans++
-	return &Span{name: name}
 }

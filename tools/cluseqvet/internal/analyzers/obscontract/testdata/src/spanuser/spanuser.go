@@ -2,8 +2,6 @@ package spanuser
 
 import "internal/obs"
 
-var tracer = &obs.Tracer{}
-
 func ok(tr *obs.RequestTrace) {
 	sp := tr.StartSpan("classify_scan")
 	defer sp.End()
@@ -18,11 +16,11 @@ func okDeferredInClosure(tr *obs.RequestTrace) {
 	}()
 }
 
-func okReassigned() {
-	sp := tracer.Span("generate")
+func okReassigned(tr *obs.RequestTrace) {
+	sp := tr.StartSpan("generate")
 	sp.End()
-	sp = tracer.Span("consolidate")
-	sp.End(1)
+	sp = tr.StartSpan("consolidate")
+	sp.End()
 }
 
 func okDynamic(tr *obs.RequestTrace, phase string) {
@@ -35,7 +33,7 @@ func badNames(tr *obs.RequestTrace) {
 	a.End()
 	b := tr.StartSpanUnder(a, "9lives") // want `invalid span name "9lives"`
 	b.End()
-	c := tracer.Span("spaced out") // want `invalid span name "spaced out"`
+	c := tr.StartSpan("spaced out") // want `invalid span name "spaced out"`
 	c.End()
 }
 
@@ -44,7 +42,7 @@ func leaks(tr *obs.RequestTrace) {
 	_ = tr.StartSpan("registry_get")      // want `StartSpan discards its span handle`
 	sp := tr.StartSpan("classify_encode") // want `span from StartSpan is never ended in this function; call sp\.End`
 	_ = sp
-	ts := tracer.Span("stream_merge") // want `span from Span is never ended in this function; call ts\.End`
+	ts := tr.StartSpanUnder(sp, "stream_merge") // want `span from StartSpanUnder is never ended in this function; call ts\.End`
 	_ = ts
 }
 
