@@ -549,7 +549,7 @@ func TestDaemonStreamingEndToEnd(t *testing.T) {
 		t.Errorf("/debug/traces holds %d consolidations, want %d", len(dump.Recent), st.Consolidations)
 	}
 	for _, rec := range dump.Recent {
-		if !ingestIDs[rec.TraceID] || rec.ParentID == "" || len(rec.Spans) != 3 {
+		if !ingestIDs[rec.TraceID] || rec.ParentID == "" || len(rec.Spans) != 5 {
 			t.Errorf("consolidation %s (parent %q, %d spans) not joined to an ingest", rec.TraceID, rec.ParentID, len(rec.Spans))
 		}
 	}
@@ -570,7 +570,7 @@ func TestDaemonStreamingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading trace file: %v", err)
 	}
-	for _, want := range []string{"stream_merge", "stream_threshold", "stream_publish"} {
+	for _, want := range []string{"stream_compile", "stream_merge", "stream_threshold", "stream_publish"} {
 		if !strings.Contains(string(spans), `"name":"`+want+`"`) {
 			t.Errorf("trace file missing span %s", want)
 		}

@@ -467,6 +467,10 @@ func (c *Classifier) PublishedVersion() uint64 { return c.published }
 // BundleOptions.WithTrees). Callers must not mutate the trees.
 func (c *Classifier) Trees() []*pst.Tree { return c.trees }
 
+// Snapshots returns the compiled scoring snapshot of every cluster, in
+// cluster order. Snapshots are immutable.
+func (c *Classifier) Snapshots() []*pst.Snapshot { return c.snaps }
+
 // Background returns the scoring background distribution. Callers must
 // not mutate it.
 func (c *Classifier) Background() []float64 { return c.background }

@@ -286,7 +286,7 @@ func FuzzBundleV3(f *testing.F) {
 		for i := range bg {
 			bg[i] = 1 / float64(n)
 		}
-		clf, err := NewClassifierFromParts([]*pst.Tree{treeA, treeB}, alphabet, bg, 1.1, false)
+		clf, err := NewClassifierFromParts([]*pst.Tree{treeA, treeB}, nil, alphabet, bg, 1.1, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"cluseq/internal/pst"
@@ -97,7 +98,16 @@ func NewClassifier(db *seq.Database, res *Result, cfg Config) (*Classifier, erro
 // threshold is the similarity threshold in effect (not log-domain). The
 // background slice is copied; the trees are not, so the caller must not
 // mutate them afterwards.
-func NewClassifierFromParts(trees []*pst.Tree, alphabet *seq.Alphabet, background []float64, threshold float64, raw bool) (*Classifier, error) {
+//
+// snaps, when non-nil, holds one already compiled snapshot per tree, so
+// the classifier need not compile again; a nil slice or a nil entry
+// compiles from the tree. snaps[i] must have been compiled from a tree
+// with trees[i]'s content, against background's values. The classifier
+// keeps a detached copy (pst.Snapshot.Detached), which shares the
+// compiled tables but not the tree they were compiled from. A
+// delegating (shrinkage) snapshot is refused: it scans its own tree,
+// which the classifier does not own.
+func NewClassifierFromParts(trees []*pst.Tree, snaps []*pst.Snapshot, alphabet *seq.Alphabet, background []float64, threshold float64, raw bool) (*Classifier, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("core: classifier needs at least one cluster tree")
 	}
@@ -110,6 +120,9 @@ func NewClassifierFromParts(trees []*pst.Tree, alphabet *seq.Alphabet, backgroun
 	if !(threshold > 0) || math.IsInf(threshold, 1) {
 		return nil, fmt.Errorf("core: threshold %v outside (0, +inf)", threshold)
 	}
+	if snaps != nil && len(snaps) != len(trees) {
+		return nil, fmt.Errorf("core: %d snapshots for %d cluster trees", len(snaps), len(trees))
+	}
 	for i, tree := range trees {
 		if tree == nil {
 			return nil, fmt.Errorf("core: cluster tree %d is nil", i)
@@ -117,15 +130,31 @@ func NewClassifierFromParts(trees []*pst.Tree, alphabet *seq.Alphabet, backgroun
 		if got := tree.Config().AlphabetSize; got != alphabet.Size() {
 			return nil, fmt.Errorf("core: cluster tree %d built over %d symbols, alphabet has %d", i, got, alphabet.Size())
 		}
+		if snaps == nil || snaps[i] == nil {
+			continue
+		}
+		if snaps[i].Delegates() {
+			return nil, fmt.Errorf("core: snapshot %d delegates to its tree; pass nil to compile from cluster tree %d", i, i)
+		}
+		if !slices.Equal(snaps[i].Background(), background) {
+			return nil, fmt.Errorf("core: snapshot %d was compiled against another background", i)
+		}
 	}
 	c := &Classifier{
 		trees:      trees,
+		snaps:      make([]*pst.Snapshot, len(trees)),
 		background: append([]float64(nil), background...),
 		logT:       math.Log(threshold),
 		raw:        raw,
 		alphabet:   alphabet,
 	}
-	c.compileSnapshots()
+	for i, tree := range trees {
+		if snaps != nil && snaps[i] != nil {
+			c.snaps[i] = snaps[i].Detached()
+		} else {
+			c.snaps[i] = tree.CompileSnapshot(c.background)
+		}
+	}
 	return c, nil
 }
 

@@ -1,5 +1,7 @@
 package pst
 
+import "slices"
+
 // Pruning (paper §5.1). Eviction proceeds bottom-up over current leaves —
 // evicting a leaf may expose its parent as the next candidate — driven by a
 // min-heap whose ordering encodes the chosen strategy:
@@ -18,6 +20,9 @@ package pst
 
 type pruneItem struct {
 	x Slot
+	// rank is x's position in the pass's breadth-first order (see
+	// rankLive), the final tie-break.
+	rank int32
 	// key0 orders across tiers (insignificant before significant under
 	// PruneAuto); key1 and key2 order within a tier.
 	key0, key1, key2 float64
@@ -28,7 +33,6 @@ type pruneItem struct {
 // Pop box every candidate: a capped stream tree evicts thousands of nodes
 // per insert.
 type pruneHeap struct {
-	t     *Tree
 	items []pruneItem
 }
 
@@ -42,12 +46,15 @@ func (h *pruneHeap) less(a, b pruneItem) bool {
 	if a.key2 != b.key2 {
 		return a.key2 < b.key2
 	}
-	// Total-order tie-break on the node's label path. Key ties are common
-	// (symmetric counts, equal depths), and without a deterministic final
-	// comparison the eviction choice among tied leaves would depend on
-	// heap insertion order, so a capped tree's surviving node set, and
-	// every similarity scored against it, could vary run to run.
-	return h.t.pathCompare(a.x, b.x) < 0
+	// Total-order tie-break on the node's (depth, label path read
+	// root-to-leaf): shallower first, then lexicographic on edge symbols,
+	// which the pass's breadth-first rank encodes in one integer. Key ties
+	// are common (symmetric counts, equal depths), and without a
+	// deterministic final comparison the eviction choice among tied leaves
+	// would depend on heap insertion order, so a capped tree's surviving
+	// node set, and every similarity scored against it, could vary run to
+	// run.
+	return a.rank < b.rank
 }
 
 func (h *pruneHeap) init() {
@@ -95,30 +102,30 @@ func (h *pruneHeap) down(i int) {
 	}
 }
 
-// pathCompare orders nodes by (depth, label path read root-to-leaf):
-// shallower first, then lexicographic on edge symbols. It returns 0 only
-// for the identical node, so it is a total order over any one tree. Two
-// distinct nodes of equal depth differ first just below their deepest
-// common ancestor, which the upward walk reaches last.
-func (t *Tree) pathCompare(a, b Slot) int {
-	if a == b {
-		return 0
+// rankLive numbers the live nodes breadth-first, each node's children
+// in the ascending order of its run, into t.pruneRank (indexed by slot),
+// and returns them in that order, root first. Breadth-first order with
+// ascending siblings is exactly (depth, pre-order rank): levels come out
+// shallowest first, and within a level the nodes come out in the
+// lexicographic order of their root-to-node label paths, which is their
+// pre-order. Evicting leaves keeps the other nodes' relative order, so
+// ranks taken at the start of a pass order every candidate the pass
+// meets. The buffers are reused across passes.
+func (t *Tree) rankLive() []int32 {
+	t.pruneRank = slices.Grow(t.pruneRank[:0], len(t.depth))[:len(t.depth)]
+	order := append(t.pruneOrder[:0], int32(t.Root()))
+	for head := 0; head < len(order); head++ {
+		x := order[head]
+		t.pruneRank[x] = int32(head)
+		_, slots := t.kids(Slot(x))
+		order = append(order, slots...)
 	}
-	if da, db := t.depth[a], t.depth[b]; da != db {
-		return int(da) - int(db)
-	}
-	c := 0
-	for a != b {
-		if d := int(t.edge[a]) - int(t.edge[b]); d != 0 {
-			c = d
-		}
-		a, b = Slot(t.parent[a]), Slot(t.parent[b])
-	}
-	return c
+	t.pruneOrder = order
+	return order
 }
 
 func (t *Tree) pruneKey(x Slot) pruneItem {
-	it := pruneItem{x: x}
+	it := pruneItem{x: x, rank: t.pruneRank[x]}
 	count, depth := float64(t.count[x]), float64(t.depth[x])
 	switch t.cfg.Prune {
 	case PruneMinCount:
@@ -153,9 +160,9 @@ func (t *Tree) pruneTo(target int) {
 	}
 	t.version++
 	t.pruneEvents++
-	h := &pruneHeap{t: t}
-	for x, d := range t.depth {
-		if x != 0 && d != freeDepth && t.runs[x].len == 0 {
+	h := &pruneHeap{}
+	for _, x := range t.rankLive()[1:] {
+		if t.runs[x].len == 0 {
 			h.items = append(h.items, t.pruneKey(Slot(x)))
 		}
 	}

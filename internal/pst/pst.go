@@ -173,6 +173,12 @@ type Tree struct {
 	pruned      int64 // nodes evicted so far
 	pruneEvents int64 // pruneTo passes run so far (§5.1 cap firings)
 
+	// pruneRank and pruneOrder are pruneTo's tie-break ranks and
+	// breadth-first walk, kept so a capped tree pruning after nearly
+	// every insert does not reallocate them (see rankLive).
+	pruneRank  []int32
+	pruneOrder []int32
+
 	// Cached ln(background) for the similarity scans, keyed by the
 	// background slice identity and published atomically so concurrent
 	// scoring workers never serialize on it (see logBackground).

@@ -82,8 +82,8 @@ import (
 // clustering engine's similarity cache uses — and score live trees
 // through Score, which falls back to Tree.Similarity once the snapshot
 // is stale. A snapshot reconstructed from a serialized arena
-// (SnapshotFromArena) has no tree at all (Tree returns nil), so it
-// never goes stale.
+// (SnapshotFromArena) or detached from its tree (Detached) has no tree
+// at all (Tree returns nil), so it never goes stale.
 //
 // Snapshots are safe for concurrent use by any number of goroutines.
 type Snapshot struct {
@@ -445,8 +445,23 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 func (s *Snapshot) Version() uint64 { return s.version }
 
 // Tree returns the tree the snapshot was compiled from, or nil for a
-// snapshot reconstructed from a serialized arena.
+// snapshot reconstructed from a serialized arena or Detached.
 func (s *Snapshot) Tree() *Tree { return s.tree }
+
+// Detached returns a snapshot that shares s's compiled tables, which
+// are immutable once compiled, but not its tree: like a snapshot loaded
+// from a bundle, it has no Tree and never goes stale. Its holder keeps
+// no reference to a tree that s's compiler may go on mutating. A
+// delegating snapshot scans its tree, so it cannot be detached:
+// Detached returns nil for it.
+func (s *Snapshot) Detached() *Snapshot {
+	if s.delegate {
+		return nil
+	}
+	d := *s
+	d.tree, d.version = nil, 0
+	return &d
+}
 
 // Background returns the background distribution the snapshot's log
 // ratios were folded with. Callers must not mutate it.
@@ -455,6 +470,8 @@ func (s *Snapshot) Background() []float64 { return s.background }
 // Delegates reports whether the snapshot delegates scanning to the
 // tree (shrinkage estimation): its arena carries no tables, so
 // serializing such a cluster requires the tree itself.
+//
+//cluseq:hotpath
 func (s *Snapshot) Delegates() bool { return s.delegate }
 
 // Valid reports whether the snapshot still reflects t exactly: it was

@@ -292,10 +292,10 @@ func TestTraceConsolidationJoinsIngest(t *testing.T) {
 	byTrace := map[string]obs.TraceRecord{}
 	for _, j := range jobs {
 		byTrace[j.TraceID] = j
-		if j.Status != http.StatusOK || len(j.Spans) != 3 {
+		if j.Status != http.StatusOK || len(j.Spans) != 5 {
 			t.Errorf("job %s: status %d, spans %+v", j.TraceID, j.Status, j.Spans)
 		}
-		for i, name := range []string{"stream_merge", "stream_threshold", "stream_publish"} {
+		for i, name := range []string{"stream_compile", "stream_merge", "stream_threshold", "stream_compile", "stream_publish"} {
 			if i < len(j.Spans) && (j.Spans[i].Name != name || j.Spans[i].Parent != -1 || j.Spans[i].DurUS < 0) {
 				t.Errorf("job %s span %d = %+v, want finished %s under the root", j.TraceID, i, j.Spans[i], name)
 			}

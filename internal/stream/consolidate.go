@@ -6,6 +6,7 @@ import (
 
 	"cluseq/internal/core"
 	"cluseq/internal/pst"
+	"cluseq/internal/seq"
 )
 
 // ConsolidateNow forces a consolidation pass immediately, regardless of
@@ -20,12 +21,13 @@ func (e *Engine) ConsolidateNow() {
 	}
 }
 
-// consolidateLocked runs one consolidation pass: merge covered clusters
-// and dissolve stillborn ones (§4.5 adapted to streaming evidence),
-// re-adjust the similarity threshold from the recent-similarity window
-// (§4.6), refresh the background distribution from the running symbol
-// counts, recompile every scoring snapshot, and publish a frozen
-// classifier. Caller holds e.mu.
+// consolidateLocked runs one consolidation pass: compile the snapshots
+// the window's inserts left stale, merge covered clusters and dissolve
+// stillborn ones (§4.5 adapted to streaming evidence), re-adjust the
+// similarity threshold from the recent-similarity window (§4.6), refresh
+// the background distribution from the running symbol counts, recompile
+// every scoring snapshot against it, and publish a frozen classifier
+// that shares those snapshots. Caller holds e.mu.
 //
 //cluseq:deterministic
 func (e *Engine) consolidateLocked() {
@@ -46,7 +48,15 @@ func (e *Engine) consolidateLocked() {
 	job := e.cfg.Flight.Begin("stream_consolidate", inbound)
 	defer e.cfg.Flight.Finish(job, 200)
 
-	sp := job.StartSpan("stream_merge")
+	// The merge test scores every reservoir against its candidate
+	// targets, so compile the stale clusters first, against the
+	// background the test scores with: each then costs one compile
+	// instead of a tree scan per reservoir sequence it is tested against.
+	sp := job.StartSpan("stream_compile")
+	e.compileSnapshots(false)
+	sp.End()
+
+	sp = job.StartSpan("stream_merge")
 	start := time.Now() //cluseq:allow determinism: timestamp feeds the phase-seconds histogram only, never the clustering state
 	merged, dissolved := e.mergeAndDissolve()
 	e.met.mergeSeconds.ObserveSince(start)
@@ -85,9 +95,9 @@ func (e *Engine) consolidateLocked() {
 		}
 		e.background = bg
 	}
-	for _, c := range e.clusters {
-		c.snap = c.tree.CompileSnapshot(e.background)
-	}
+	sp = job.StartSpan("stream_compile")
+	e.compileSnapshots(true)
+	sp.End()
 
 	sp = job.StartSpan("stream_publish")
 	e.publishLocked()
@@ -145,7 +155,7 @@ func (e *Engine) mergeAndDissolve() (merged, dissolved int) {
 				continue
 			}
 			target := e.clusters[cj]
-			if e.coverage(c, target) >= e.cfg.MergeFraction {
+			if e.covers(c, target) {
 				if err := target.tree.Merge(c.tree); err != nil {
 					// Trees within one engine always share configuration; a
 					// mismatch would be a programming error worth surfacing.
@@ -181,30 +191,72 @@ func (e *Engine) mergeAndDissolve() (merged, dissolved int) {
 	return merged, dissolved
 }
 
-// coverage is the fraction of c's reservoir that clears target's
-// threshold — the streaming stand-in for §4.5's member-overlap test,
-// since a stream engine holds no global membership sets.
+// covers reports whether at least MergeFraction of c's reservoir
+// clears target's threshold — the streaming stand-in for §4.5's
+// member-overlap test, since a stream engine holds no global membership
+// sets. It stops scoring once the answer is fixed: when the sequences
+// covered so far already reach the fraction, or when covering every
+// remaining one could no longer reach it (with the defaults, after 13 of
+// 32 misses). The share is compared exactly as the whole count would be,
+// so the answer never differs from a full scan.
 //
 //cluseq:deterministic
-func (e *Engine) coverage(c, target *scluster) float64 {
-	if len(c.reservoir) == 0 {
-		return 0
-	}
+func (e *Engine) covers(c, target *scluster) bool {
+	n := len(c.reservoir)
+	reaches := func(covered int) bool { return float64(covered)/float64(n) >= e.cfg.MergeFraction }
 	covered := 0
-	for _, syms := range c.reservoir {
-		sim := target.snap.Score(target.tree, syms, e.background)
-		if e.normLogSim(sim, len(syms)) >= e.thr.LogT {
+	for i, syms := range c.reservoir {
+		if e.normLogSim(e.score(target, syms), len(syms)) >= e.thr.LogT {
 			covered++
+			if reaches(covered) {
+				return true
+			}
+		} else if !reaches(covered + n - 1 - i) {
+			return false
 		}
 	}
-	return float64(covered) / float64(len(c.reservoir))
+	return n > 0 && reaches(covered)
+}
+
+// score is the stream's one way to score a live cluster: through its
+// snapshot, or through the tree when the snapshot is stale or delegates
+// (pst.Snapshot.Score). It counts the scans that read the tree, so the
+// tree-scan share is measured where it happens.
+//
+//cluseq:hotpath
+func (e *Engine) score(c *scluster, syms []seq.Symbol) pst.Similarity {
+	if !c.snap.Valid(c.tree) || c.snap.Delegates() {
+		e.met.treeScans.Inc()
+	}
+	return c.snap.Score(c.tree, syms, e.background)
+}
+
+// compileSnapshots compiles, across the engine pool, every cluster's
+// snapshot against the current background: all of them, or only those
+// an insert or merge has left stale. Like the batch engine's
+// ensureSnapshots, each task writes only its own cluster.
+func (e *Engine) compileSnapshots(all bool) {
+	var todo []*scluster
+	for _, c := range e.clusters {
+		if all || !c.snap.Valid(c.tree) {
+			todo = append(todo, c)
+		}
+	}
+	e.forEachWorker(len(todo), func(i int) {
+		c := todo[i]
+		c.snap = c.tree.CompileSnapshot(e.background)
+	})
+	e.met.snapshotCompiles.Add(int64(len(todo)))
 }
 
 // publishLocked freezes the current clusters into a classifier and
 // hands it to the Publish callback. Trees are deep-cloned so the
 // published model is immutable while the live trees keep absorbing the
-// stream. An empty engine publishes nothing: a classifier needs at
-// least one cluster.
+// stream. The classifier takes the snapshots the pass just compiled
+// (their tables are immutable) instead of compiling the clones again;
+// a shrinkage snapshot, which scans its own tree, is compiled from its
+// clone. An empty engine publishes nothing: a classifier needs at least
+// one cluster.
 //
 //cluseq:deterministic
 func (e *Engine) publishLocked() {
@@ -212,10 +264,16 @@ func (e *Engine) publishLocked() {
 		return
 	}
 	trees := make([]*pst.Tree, len(e.clusters))
+	snaps := make([]*pst.Snapshot, len(e.clusters))
 	for i, c := range e.clusters {
 		trees[i] = c.tree.Clone()
+		if c.snap.Valid(c.tree) && !c.snap.Delegates() {
+			snaps[i] = c.snap
+		} else {
+			e.met.snapshotCompiles.Inc()
+		}
 	}
-	clf, err := core.NewClassifierFromParts(trees, e.cfg.Alphabet, e.background, e.thr.Threshold(), e.cfg.RawSimilarity)
+	clf, err := core.NewClassifierFromParts(trees, snaps, e.cfg.Alphabet, e.background, e.thr.Threshold(), e.cfg.RawSimilarity)
 	if err != nil {
 		// Unreachable with engine-built parts; surface loudly if not.
 		panic(err)

@@ -1,0 +1,143 @@
+package stream
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"cluseq/internal/core"
+	"cluseq/internal/obs"
+	"cluseq/internal/pst"
+	"cluseq/internal/seq"
+)
+
+// TestConsolidationCounters checks the pass order through the stream's
+// own counters. Three patterns that never cover each other leave two
+// clusters whose snapshots the window's inserts made stale and a
+// singleton still current since its founding: the pass compiles the two
+// stale ones before the merge test, so the test — which merges nothing
+// — scans no tree, then all three after the background refresh, and the
+// publish takes those, so it compiles nothing. With shrinkage, whose
+// snapshots scan their own tree, every published cluster compiles from
+// its clone.
+func TestConsolidationCounters(t *testing.T) {
+	for _, shrinkage := range []float64{0, 8} {
+		t.Run(fmt.Sprintf("shrinkage%v", shrinkage), func(t *testing.T) {
+			alphabet := seq.MustAlphabet("abcd")
+			cfg := streamTestConfig(t, alphabet)
+			cfg.ConsolidateEvery = 1000 // manual consolidation only
+			cfg.Shrinkage = shrinkage
+			cfg.Obs = obs.NewRegistry()
+			cfg.Publish = func(*core.Classifier, uint64) {}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for i := 0; i < 12; i++ {
+				e.IngestString("abababababab")
+				e.IngestString("cdcdcdcdcdcd")
+			}
+			e.IngestString("aaaaaaaaaaaa")
+			compiles := cfg.Obs.Counter("cluseq_stream_snapshot_compiles_total")
+			scans := cfg.Obs.Counter("cluseq_stream_tree_scans_total")
+			if compiles.Value() != 3 {
+				t.Fatalf("founding compiled %d snapshots, want 3", compiles.Value())
+			}
+
+			e.mu.Lock()
+			stale := 0
+			for _, c := range e.clusters {
+				if !c.snap.Valid(c.tree) {
+					stale++
+				}
+			}
+			e.mu.Unlock()
+			if stale != 2 {
+				t.Fatalf("%d stale clusters before the pass, want 2; the check would be vacuous", stale)
+			}
+
+			compiles0, scans0 := compiles.Value(), scans.Value()
+			e.ConsolidateNow()
+			st := e.Stats()
+			if st.Merges != 0 || st.Dissolves != 0 || st.Clusters != 3 {
+				t.Fatalf("the pass changed the clusters (%+v); it must merge nothing", st)
+			}
+			wantScans, wantCompiles := int64(0), int64(stale+st.Clusters)
+			if shrinkage > 0 {
+				// Every coverage score delegates to the tree, and every
+				// published cluster compiles from its clone.
+				wantScans = -1
+				wantCompiles += int64(st.Clusters)
+			}
+			if got := scans.Value() - scans0; wantScans >= 0 && got != wantScans {
+				t.Fatalf("merge test read the tree %d times, want %d", got, wantScans)
+			} else if wantScans < 0 && got == 0 {
+				t.Fatal("shrinkage coverage scores counted no tree scans")
+			}
+			if got := compiles.Value() - compiles0; got != wantCompiles {
+				t.Fatalf("pass compiled %d snapshots, want %d (%d stale before the merge test, %d after the refresh, none at publish)",
+					got, wantCompiles, stale, st.Clusters)
+			}
+		})
+	}
+}
+
+// TestPublishedSnapshotsMatchClones pins the snapshot-publication
+// contract: every published classifier's snapshots are byte for byte
+// what compiling its own cloned trees against its own background gives,
+// and none refers to a tree the engine owns. A shared snapshot is
+// detached (no tree); a shrinkage snapshot, which scans its tree, scans
+// the classifier's clone.
+func TestPublishedSnapshotsMatchClones(t *testing.T) {
+	db, order := syntheticStream(t, 300)
+	for _, shrinkage := range []float64{0, 8} {
+		t.Run(fmt.Sprintf("shrinkage%v", shrinkage), func(t *testing.T) {
+			cfg := streamTestConfig(t, db.Alphabet)
+			cfg.Shrinkage = shrinkage
+			cfg.MaxPSTBytes = 64 << 10
+			cfg.ConsolidateEvery = 24
+			var e *Engine
+			engineTrees := map[*pst.Tree]bool{}
+			publishes := 0
+			cfg.Publish = func(clf *core.Classifier, version uint64) {
+				// Called under e.mu, so the engine's clusters are stable.
+				publishes++
+				for _, c := range e.clusters {
+					engineTrees[c.tree] = true
+				}
+				trees, snaps := clf.Trees(), clf.Snapshots()
+				if len(snaps) != len(e.clusters) || len(trees) != len(snaps) {
+					t.Fatalf("v%d: %d snapshots and %d trees for %d clusters", version, len(snaps), len(trees), len(e.clusters))
+				}
+				for i, snap := range snaps {
+					fresh := trees[i].CompileSnapshot(clf.Background())
+					if !bytes.Equal(snap.Arena(), fresh.Arena()) {
+						t.Fatalf("v%d cluster %d: published arena differs from a compile of its clone", version, i)
+					}
+					if engineTrees[snap.Tree()] || engineTrees[trees[i]] {
+						t.Fatalf("v%d cluster %d: the published model refers to an engine-owned tree", version, i)
+					}
+					want := (*pst.Tree)(nil)
+					if shrinkage > 0 {
+						want = trees[i]
+					}
+					if snap.Tree() != want {
+						t.Fatalf("v%d cluster %d: snapshot tree %p, want %p", version, i, snap.Tree(), want)
+					}
+				}
+			}
+			var err error
+			if e, err = New(cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for _, i := range order {
+				e.Ingest(db.Sequences[i].Symbols)
+			}
+			if publishes < 10 {
+				t.Fatalf("only %d publishes", publishes)
+			}
+		})
+	}
+}

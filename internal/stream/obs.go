@@ -15,6 +15,15 @@ type streamMetrics struct {
 	merged         *obs.Counter
 	dissolved      *obs.Counter
 	published      *obs.Counter
+	// snapshotCompiles counts every snapshot the engine compiles: at
+	// founding, on resume, before the merge test (stale clusters only),
+	// after the background refresh (every cluster) and at publish (only
+	// shrinkage clusters, whose snapshots scan their own tree).
+	snapshotCompiles *obs.Counter
+	// treeScans counts the similarity scores that read a tree rather
+	// than compiled tables: a stale snapshot's fallback, or a shrinkage
+	// snapshot's delegation.
+	treeScans *obs.Counter
 
 	clusters         *obs.Gauge
 	pstNodes         *obs.Gauge
@@ -42,6 +51,9 @@ func newStreamMetrics(reg *obs.Registry) streamMetrics {
 		merged:         reg.Counter("cluseq_stream_merged_total"),
 		dissolved:      reg.Counter("cluseq_stream_dissolved_total"),
 		published:      reg.Counter("cluseq_stream_published_total"),
+
+		snapshotCompiles: reg.Counter("cluseq_stream_snapshot_compiles_total"),
+		treeScans:        reg.Counter("cluseq_stream_tree_scans_total"),
 
 		clusters:         reg.Gauge("cluseq_stream_clusters"),
 		pstNodes:         reg.Gauge("cluseq_stream_pst_nodes"),

@@ -128,8 +128,8 @@ type Config struct {
 	// Obs, when non-nil, receives the stream metrics (see DESIGN.md §13).
 	Obs *obs.Registry
 	// Flight, when non-nil, records each consolidation as a
-	// stream_consolidate job trace with stream_merge, stream_threshold
-	// and stream_publish spans. A pass triggered by a traced ingest
+	// stream_consolidate job trace with stream_compile (one per compile
+	// fan-out), stream_merge, stream_threshold and stream_publish spans. A pass triggered by a traced ingest
 	// joins that request's trace as its child. Share the server's
 	// recorder to see both in GET /debug/traces.
 	Flight *obs.Flight
@@ -434,6 +434,7 @@ func (e *Engine) adoptResume(clf *core.Classifier) error {
 			size: int64(e.cfg.MinClusterSize),
 		}
 		c.snap = c.tree.CompileSnapshot(e.background)
+		e.met.snapshotCompiles.Inc()
 		e.clusters = append(e.clusters, c)
 	}
 	e.nextID = len(trees)
@@ -582,8 +583,7 @@ func (e *Engine) ingestLocked(syms []seq.Symbol) Verdict {
 	}
 	e.sims, e.norms = e.sims[:n], e.norms[:n]
 	e.forEachWorker(n, func(i int) {
-		c := e.clusters[i]
-		sim := c.snap.Score(c.tree, syms, e.background)
+		sim := e.score(e.clusters[i], syms)
 		e.sims[i] = sim
 		e.norms[i] = e.normLogSim(sim, len(syms))
 	})
@@ -628,6 +628,7 @@ func (e *Engine) ingestLocked(syms []seq.Symbol) Verdict {
 		e.nextID++
 		c.tree.Insert(syms)
 		c.snap = c.tree.CompileSnapshot(e.background)
+		e.met.snapshotCompiles.Inc()
 		e.pushReservoir(c, syms)
 		e.clusters = append(e.clusters, c)
 		e.created++
