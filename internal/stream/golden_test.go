@@ -37,9 +37,9 @@ var goldenReplayConfigs = []struct {
 // goldenReplayDigests are the replay digests of goldenReplay, recorded
 // before consolidation compiled stale clusters ahead of the merge test,
 // decided coverage early and shared its snapshots with the published
-// classifier, and before pruning broke key ties on a pre-order rank.
-// Each of those changes is meant to leave every verdict, every published
-// bundle and the final Stats bit for bit as they were.
+// classifier, and before pruning broke key ties on a (depth, pre-order
+// rank) key. Each of those changes is meant to leave every verdict,
+// every published bundle and the final Stats bit for bit as they were.
 var goldenReplayDigests = map[string]string{
 	"cap256k-auto":           "de7a979c653a277da8b6e9534f2a08e357b3e802e5f9c44dc658e77c5ed21839",
 	"cap64k-expected-depth6": "f3a4d31a04e2f705da6ec7eae31642283b7d9953f854b34ef68ea862fcda042f",
