@@ -213,6 +213,40 @@ func BenchmarkPSTInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkPSTInsertCapped measures the §4.4 insert into a tree held at
+// its §5.1 cap, the stream engine's steady state: a 256 KiB cap over a
+// 50-symbol alphabet (489 nodes), fed one planted family's sequences
+// (100 to 300 symbols) after a warm-up that fills the tree, so every
+// insert overflows the cap and prunes. PruneAuto admits the survivor-only
+// insert; PruneExpectedVector always materializes every new context and
+// runs the heap pass.
+func BenchmarkPSTInsertCapped(b *testing.B) {
+	const n = 50
+	src := datagen.NewClusterSource(0, 1, n, 3)
+	rng := rand.New(rand.NewPCG(3, 4))
+	segs := make([][]seq.Symbol, 64)
+	for i := range segs {
+		segs[i] = src.Generate(100+rng.IntN(201), rng)
+	}
+	for _, strategy := range []pst.PruneStrategy{pst.PruneAuto, pst.PruneExpectedVector} {
+		b.Run(strategy.String(), func(b *testing.B) {
+			tree := pst.MustNew(pst.Config{AlphabetSize: n, MaxBytes: 256 << 10, Prune: strategy, PMin: 0.25 / n, AdaptiveSignificance: true})
+			for _, s := range segs {
+				tree.Insert(s)
+			}
+			symbols := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := segs[i%len(segs)]
+				tree.Insert(s)
+				symbols += len(s)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(symbols), "ns/symbol")
+		})
+	}
+}
+
 // BenchmarkPSTSimilarity measures the §4.3 similarity DP, the inner loop
 // of the whole clustering algorithm.
 func BenchmarkPSTSimilarity(b *testing.B) {

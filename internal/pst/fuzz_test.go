@@ -19,16 +19,22 @@ import (
 //     PMin smoothing is on, and its per-context sum never exceeds 1;
 //   - the compiled snapshot scan agrees bit for bit with the tree scan
 //     on arbitrary probes, including trees the memory cap pruned;
+//   - a twin tree forced through the reference insert (materialize every
+//     new context, then the heap pass) saves to the same bytes after
+//     every insert, with the same node, prune and version counters, so
+//     the survivor-only insert evicts exactly what the heap pass does;
 //
 // and, implicitly, that no insert stream — including ones that trip the
 // memory cap and its pruning — panics.
 func FuzzPSTInsertPredict(f *testing.F) {
-	f.Add([]byte("abcabcabc"), []byte("ab"), uint8(4), uint8(3))
-	f.Add([]byte{0, 1, 2, 0xFF, 3, 4, 5}, []byte{1, 2}, uint8(8), uint8(5))
-	f.Add([]byte{}, []byte{0}, uint8(1), uint8(1))
-	f.Add([]byte{0xFF, 0xFF, 7, 7, 7, 7, 7, 7, 7, 7}, []byte{7, 7, 7}, uint8(3), uint8(6))
+	f.Add([]byte("abcabcabc"), []byte("ab"), uint8(4), uint8(3), uint8(0))
+	f.Add([]byte{0, 1, 2, 0xFF, 3, 4, 5}, []byte{1, 2}, uint8(8), uint8(5), uint8(1))
+	f.Add([]byte{}, []byte{0}, uint8(1), uint8(1), uint8(2))
+	f.Add([]byte{0xFF, 0xFF, 7, 7, 7, 7, 7, 7, 7, 7}, []byte{7, 7, 7}, uint8(3), uint8(6), uint8(3))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog\xffpack my box with five dozen liquor jugs"), []byte("fox"), uint8(7), uint8(4), uint8(0))
+	f.Add([]byte("abracadabra\xffabracadabra\xffcadabra"), []byte("abra"), uint8(5), uint8(2), uint8(2))
 
-	f.Fuzz(func(t *testing.T, stream, probe []byte, alphaByte, depthByte uint8) {
+	f.Fuzz(func(t *testing.T, stream, probe []byte, alphaByte, depthByte, pruneByte uint8) {
 		n := int(alphaByte)%16 + 1
 		cfg := Config{
 			AlphabetSize: n,
@@ -36,22 +42,31 @@ func FuzzPSTInsertPredict(f *testing.F) {
 			Significance: int(depthByte)%4 + 1,
 			PMin:         0.1 / float64(n),
 			// Small enough for fuzz streams to trip cap pruning.
-			MaxBytes: 64 * (88 + 8*n + 48),
+			MaxBytes:             64 * (88 + 8*n + 48),
+			Prune:                PruneStrategy(pruneByte % 4),
+			AdaptiveSignificance: pruneByte&4 != 0,
 		}
 		tree := MustNew(cfg)
+		twin := MustNew(cfg)
+		twin.heapOnly = true
+		insert := func(seg []seq.Symbol) {
+			tree.Insert(seg)
+			twin.Insert(seg)
+			assertSameTree(t, tree, twin)
+		}
 
 		// 0xFF delimits segments, so one input exercises multiple
 		// incremental inserts (the §4.4 update pattern).
 		seg := make([]seq.Symbol, 0, len(stream))
 		for _, b := range stream {
 			if b == 0xFF {
-				tree.Insert(seg)
+				insert(seg)
 				seg = seg[:0]
 				continue
 			}
 			seg = append(seg, seq.Symbol(int(b)%n))
 		}
-		tree.Insert(seg)
+		insert(seg)
 
 		const eps = 1e-9
 		tree.Walk(func(x Slot) bool {
@@ -103,6 +118,28 @@ func FuzzPSTInsertPredict(f *testing.F) {
 			}
 		}
 	})
+}
+
+// assertSameTree fails unless got and want save to the same PSTv1 bytes
+// and agree on their node, prune and version counters.
+func assertSameTree(t *testing.T, got, want *Tree) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() || got.PrunedNodes() != want.PrunedNodes() ||
+		got.PruneEvents() != want.PruneEvents() || got.Version() != want.Version() {
+		t.Fatalf("nodes/pruned/prune events/version %d/%d/%d/%d, reference insert %d/%d/%d/%d",
+			got.NumNodes(), got.PrunedNodes(), got.PruneEvents(), got.Version(),
+			want.NumNodes(), want.PrunedNodes(), want.PruneEvents(), want.Version())
+	}
+	var a, b bytes.Buffer
+	if err := got.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("saved tree differs from the reference insert's (%d vs %d bytes)", a.Len(), b.Len())
+	}
 }
 
 // maxFuzzLoadBytes bounds FuzzPSTLoad's inputs. Next-count rows are

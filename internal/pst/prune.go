@@ -160,6 +160,16 @@ func (t *Tree) pruneTo(target int) {
 	}
 	t.version++
 	t.pruneEvents++
+	t.evictLeaves(target)
+	if len(t.depth) > compactRatio*t.numNodes {
+		t.slabs = t.compacted()
+	}
+}
+
+// evictLeaves is the heap pass: it pops the smallest leaf under the
+// strategy's key until at most target nodes remain, pushing each parent
+// its evictions expose.
+func (t *Tree) evictLeaves(target int) {
 	h := &pruneHeap{}
 	for _, x := range t.rankLive()[1:] {
 		if t.runs[x].len == 0 {
@@ -175,9 +185,6 @@ func (t *Tree) pruneTo(target int) {
 		if parent != t.Root() && t.runs[parent].len == 0 {
 			h.push(t.pruneKey(parent))
 		}
-	}
-	if len(t.depth) > compactRatio*t.numNodes {
-		t.slabs = t.compacted()
 	}
 }
 

@@ -179,6 +179,16 @@ type Tree struct {
 	pruneRank  []int32
 	pruneOrder []int32
 
+	// ins is the scratch of the survivor-only insert in progress, nil
+	// between inserts (see insert.go); survivorInserts counts the capped
+	// inserts that took that path without a heap pass.
+	ins             *insertScratch
+	survivorInserts int64
+	// heapOnly sends every insert through the reference path, which
+	// materializes each new context and runs the heap pass; tests set it
+	// on a twin tree.
+	heapOnly bool
+
 	// Cached ln(background) for the similarity scans, keyed by the
 	// background slice identity and published atomically so concurrent
 	// scoring workers never serialize on it (see logBackground).
@@ -293,47 +303,6 @@ func (t *Tree) lookupChild(x Slot, s seq.Symbol) Slot {
 		return Slot(t.kidSlot[int(r.off)+i])
 	}
 	return NoSlot
-}
-
-// Insert adds one segment's statistics to the tree. This is the operation
-// behind both initial construction from a seed sequence and the §4.4
-// incremental update with a joining sequence's best-scoring segment:
-// conceptually it inserts every suffix of the reversed segment, realized
-// here as one pass that, for every position, walks the (reversed) context
-// of up to MaxDepth symbols and updates each visited node's occurrence
-// count and next-symbol counter.
-func (t *Tree) Insert(segment []seq.Symbol) {
-	l := len(segment)
-	if l == 0 {
-		return
-	}
-	L, n := t.cfg.MaxDepth, t.cfg.AlphabetSize
-	for i := 0; i < l; i++ {
-		sym := segment[i]
-		// The empty context: the root's count is the total symbol count.
-		t.count[0]++
-		t.pages[0][sym]++
-		x := t.Root()
-		for d := 1; d <= L && i-d >= 0; d++ {
-			x = t.ensureChild(x, segment[i-d])
-			t.count[x]++
-			t.pages[x>>pageShift][int(x&pageMask)*n+int(sym)]++
-		}
-	}
-	// Contexts ending at the final position occur without a successor;
-	// count the occurrences so that Count is the exact occurrence count of
-	// every label (§3: "a count C is associated with each node to record
-	// the number of occurrences of its label").
-	x := t.Root()
-	for d := 1; d <= L && l-d >= 0; d++ {
-		x = t.ensureChild(x, segment[l-d])
-		t.count[x]++
-	}
-	t.insertions += int64(l)
-	t.version++
-	if t.maxNodes > 0 && t.numNodes > t.maxNodes {
-		t.pruneTo(t.maxNodes * 9 / 10)
-	}
 }
 
 // EffectiveSignificance returns the significance threshold currently in

@@ -39,30 +39,46 @@ func TestSearchRun(t *testing.T) {
 
 // TestCappedTreeSlotsBounded pins the property that keeps a capped
 // tree's memory near its cap: after every insert the slabs hold at most
-// compactRatio slots per live node. Without compaction a capped stream
-// tree would keep the high-water mark of its largest insert (cap plus
-// one sequence's contexts) for good.
+// compactRatio slots per live node, and after every insert that pruned
+// the child arena holds at most compactRatio entries per live edge.
+// Without compaction a capped stream tree would keep the high-water mark
+// of its largest insert (cap plus one sequence's contexts) for good; with
+// survivor-only inserts the slots stay put, and it would keep every run
+// that moved to the arena's end instead. The PruneAuto stream is long
+// enough for its trees to take the survivor-only path and to trip the
+// arena rule; PruneExpectedVector, which materializes every context,
+// still compacts on the slot ratio.
 func TestCappedTreeSlotsBounded(t *testing.T) {
 	const n = 12
 	rng := rand.New(rand.NewPCG(21, 22))
-	for _, strategy := range []PruneStrategy{PruneAuto, PruneExpectedVector} {
-		tr := MustNew(Config{AlphabetSize: n, MaxDepth: 8, Significance: 3, MaxBytes: 200 * (88 + 8*n + 48), Prune: strategy})
+	for _, c := range []struct {
+		strategy PruneStrategy
+		inserts  int
+	}{{PruneAuto, 300}, {PruneExpectedVector, 60}} {
+		tr := MustNew(Config{AlphabetSize: n, MaxDepth: 8, Significance: 3, MaxBytes: 200 * (88 + 8*n + 48), Prune: c.strategy})
 		compactions := 0
-		for i := 0; i < 60; i++ {
-			before := len(tr.depth)
+		for i := 0; i < c.inserts; i++ {
+			before, events := &tr.parent[0], tr.PruneEvents()
 			tr.Insert(randomSymbols(rng, 20+rng.IntN(200), n))
-			if len(tr.depth) < before {
+			// Compaction hands out new, exactly sized slabs.
+			if &tr.parent[0] != before && cap(tr.parent) == tr.NumNodes() {
 				compactions++
 			}
 			if slots := len(tr.depth); slots > compactRatio*tr.NumNodes() {
-				t.Fatalf("%v insert %d: %d slots for %d live nodes", strategy, i, slots, tr.NumNodes())
+				t.Fatalf("%v insert %d: %d slots for %d live nodes", c.strategy, i, slots, tr.NumNodes())
+			}
+			if arena := len(tr.kidSym); tr.PruneEvents() > events && arena > compactRatio*(tr.NumNodes()-1) {
+				t.Fatalf("%v insert %d: %d arena entries for %d live edges", c.strategy, i, arena, tr.NumNodes()-1)
 			}
 			if free := len(tr.free); free != len(tr.depth)-tr.NumNodes() {
-				t.Fatalf("%v insert %d: %d free slots, want %d", strategy, i, free, len(tr.depth)-tr.NumNodes())
+				t.Fatalf("%v insert %d: %d free slots, want %d", c.strategy, i, free, len(tr.depth)-tr.NumNodes())
 			}
 		}
 		if tr.PrunedNodes() == 0 || compactions == 0 {
-			t.Fatalf("%v: %d pruned nodes, %d compactions; the cap never exercised compaction", strategy, tr.PrunedNodes(), compactions)
+			t.Fatalf("%v: %d pruned nodes, %d compactions; the cap never exercised compaction", c.strategy, tr.PrunedNodes(), compactions)
+		}
+		if c.strategy == PruneAuto && tr.survivorInserts == 0 {
+			t.Fatalf("%v: no insert took the survivor-only path", c.strategy)
 		}
 	}
 }

@@ -156,11 +156,13 @@ func (e *Engine) mergeAndDissolve() (merged, dissolved int) {
 			}
 			target := e.clusters[cj]
 			if e.covers(c, target) {
+				events, nodes := target.tree.PruneEvents(), target.tree.PrunedNodes()+c.tree.PrunedNodes()
 				if err := target.tree.Merge(c.tree); err != nil {
 					// Trees within one engine always share configuration; a
 					// mismatch would be a programming error worth surfacing.
 					panic(err)
 				}
+				e.met.countPrunes(target.tree, events, nodes)
 				target.size += c.size
 				for _, s := range c.reservoir {
 					e.pushReservoir(target, s)

@@ -141,3 +141,71 @@ func TestPublishedSnapshotsMatchClones(t *testing.T) {
 		})
 	}
 }
+
+// TestPruneCounters checks the stream's prune counters against the
+// per-call totals of a capped replay. Consolidation runs only by hand,
+// so between passes only inserts mutate trees, and clusters never
+// dissolve, so every tree a pass drops was merged away. Every prune pass
+// any tree ran then counts once, and every eviction once: a live tree's
+// PrunedNodes already holds the lifetime totals of the trees it
+// absorbed, so the merged-away trees' own totals must not be added
+// again.
+func TestPruneCounters(t *testing.T) {
+	db, order := syntheticStream(t, 400)
+	cfg := streamTestConfig(t, db.Alphabet)
+	cfg.MaxPSTBytes = 16 << 10
+	cfg.ConsolidateEvery = 1 << 20 // manual consolidation only
+	cfg.DissolveAfter = 1 << 30
+	cfg.MergeFraction = 0.2
+	cfg.Obs = obs.NewRegistry()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	type counts struct{ events, nodes int64 }
+	live := func() map[*pst.Tree]bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		m := map[*pst.Tree]bool{}
+		for _, c := range e.clusters {
+			m[c.tree] = true
+		}
+		return m
+	}
+	var gone counts // merged-away trees' own totals
+	mergedPruned := false
+	for i, idx := range order {
+		e.Ingest(db.Sequences[idx].Symbols)
+		if (i+1)%24 != 0 {
+			continue
+		}
+		before := live()
+		e.ConsolidateNow()
+		after := live()
+		for tree := range before {
+			// A dropped tree may itself have absorbed another in this
+			// pass before it was merged away; read it as the pass left it.
+			if !after[tree] {
+				gone.events += tree.PruneEvents()
+				gone.nodes += tree.PrunedNodes()
+				mergedPruned = mergedPruned || tree.PrunedNodes() > 0
+			}
+		}
+	}
+	var want counts
+	for tree := range live() {
+		want.events += tree.PruneEvents()
+		want.nodes += tree.PrunedNodes()
+	}
+	want.events += gone.events
+	if st := e.Stats(); st.Merges == 0 || st.Dissolves != 0 || !mergedPruned {
+		t.Fatalf("%d merges, %d dissolves, merged-away tree pruned: %v; the replay must merge pruned trees and dissolve none", st.Merges, st.Dissolves, mergedPruned)
+	}
+	events := cfg.Obs.Counter("cluseq_stream_prune_events_total", "strategy", "auto").Value()
+	nodes := cfg.Obs.Counter("cluseq_stream_pruned_nodes_total", "strategy", "auto").Value()
+	if events != want.events || nodes != want.nodes {
+		t.Fatalf("prune counters read %d events and %d nodes, want %d and %d (the cumulative harvest would read %d nodes)",
+			events, nodes, want.events, want.nodes, want.nodes+gone.nodes)
+	}
+}

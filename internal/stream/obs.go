@@ -1,6 +1,9 @@
 package stream
 
-import "cluseq/internal/obs"
+import (
+	"cluseq/internal/obs"
+	"cluseq/internal/pst"
+)
 
 // streamMetrics holds the engine's pre-registered metric handles. The
 // zero value (no registry) is all nil handles, which are no-ops, so the
@@ -24,6 +27,13 @@ type streamMetrics struct {
 	// than compiled tables: a stale snapshot's fallback, or a shrinkage
 	// snapshot's delegation.
 	treeScans *obs.Counter
+	// pruneEvents and prunedNodes count the §5.1 prune passes and the
+	// nodes they evicted, labeled by strategy: the delta each Insert and
+	// Merge call produces. Harvesting the trees' cumulative counters
+	// would count a merge twice, because Merge adds the absorbed tree's
+	// lifetime total to the target's PrunedNodes.
+	pruneEvents *obs.Counter
+	prunedNodes *obs.Counter
 
 	clusters         *obs.Gauge
 	pstNodes         *obs.Gauge
@@ -38,10 +48,11 @@ type streamMetrics struct {
 	lockWaitSeconds  *obs.Histogram
 }
 
-func newStreamMetrics(reg *obs.Registry) streamMetrics {
+func newStreamMetrics(reg *obs.Registry, prune pst.PruneStrategy) streamMetrics {
 	if reg == nil {
 		return streamMetrics{}
 	}
+	strategy := prune.String()
 	return streamMetrics{
 		ingested:       reg.Counter("cluseq_stream_ingested_total"),
 		accepted:       reg.Counter("cluseq_stream_accepted_total"),
@@ -54,6 +65,8 @@ func newStreamMetrics(reg *obs.Registry) streamMetrics {
 
 		snapshotCompiles: reg.Counter("cluseq_stream_snapshot_compiles_total"),
 		treeScans:        reg.Counter("cluseq_stream_tree_scans_total"),
+		pruneEvents:      reg.Counter("cluseq_stream_prune_events_total", "strategy", strategy),
+		prunedNodes:      reg.Counter("cluseq_stream_pruned_nodes_total", "strategy", strategy),
 
 		clusters:         reg.Gauge("cluseq_stream_clusters"),
 		pstNodes:         reg.Gauge("cluseq_stream_pst_nodes"),
@@ -74,4 +87,13 @@ func newStreamMetrics(reg *obs.Registry) streamMetrics {
 		// at 5ms resolution — the contention signal under open-loop load.
 		lockWaitSeconds: reg.Histogram("cluseq_stream_lock_wait_seconds", 0, 1, 200),
 	}
+}
+
+// countPrunes adds the prune passes and evictions of one Insert or Merge
+// into tree, given its counters read just before the call; for a merge,
+// nodes also holds the absorbed tree's PrunedNodes, which Merge carries
+// over.
+func (m *streamMetrics) countPrunes(tree *pst.Tree, events, nodes int64) {
+	m.pruneEvents.Add(tree.PruneEvents() - events)
+	m.prunedNodes.Add(tree.PrunedNodes() - nodes)
 }

@@ -129,9 +129,10 @@ type Config struct {
 	Obs *obs.Registry
 	// Flight, when non-nil, records each consolidation as a
 	// stream_consolidate job trace with stream_compile (one per compile
-	// fan-out), stream_merge, stream_threshold and stream_publish spans. A pass triggered by a traced ingest
-	// joins that request's trace as its child. Share the server's
-	// recorder to see both in GET /debug/traces.
+	// fan-out), stream_merge, stream_threshold and stream_publish spans.
+	// A pass triggered by a traced ingest joins that request's trace as
+	// its child. Share the server's recorder to see both in
+	// GET /debug/traces.
 	Flight *obs.Flight
 	// Logf, when non-nil, receives one line per consolidation.
 	Logf func(format string, args ...any)
@@ -350,7 +351,7 @@ func New(cfg Config) (*Engine, error) {
 		e.pool = pool.New(workers - 1)
 		e.pool.Instrument(cfg.Obs, "cluseq_stream_pool")
 	}
-	e.met = newStreamMetrics(cfg.Obs)
+	e.met = newStreamMetrics(cfg.Obs, cfg.Prune)
 	e.met.threshold.Set(cfg.SimilarityThreshold)
 	if cfg.Resume != nil {
 		if err := e.adoptResume(cfg.Resume); err != nil {
@@ -608,11 +609,13 @@ func (e *Engine) ingestLocked(syms []seq.Symbol) Verdict {
 	switch {
 	case best >= 0 && bestNorm >= e.thr.LogT:
 		c := e.clusters[best]
+		events, nodes := c.tree.PruneEvents(), c.tree.PrunedNodes()
 		if e.cfg.InsertWhole {
 			c.tree.Insert(syms)
 		} else {
 			c.tree.Insert(syms[e.sims[best].Start:e.sims[best].End])
 		}
+		e.met.countPrunes(c.tree, events, nodes)
 		c.size++
 		e.pushReservoir(c, syms)
 		e.accepted++
@@ -627,6 +630,7 @@ func (e *Engine) ingestLocked(syms []seq.Symbol) Verdict {
 		}
 		e.nextID++
 		c.tree.Insert(syms)
+		e.met.countPrunes(c.tree, 0, 0)
 		c.snap = c.tree.CompileSnapshot(e.background)
 		e.met.snapshotCompiles.Inc()
 		e.pushReservoir(c, syms)
