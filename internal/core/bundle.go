@@ -30,8 +30,9 @@ package core
 //	              total symbols u64) so Info works without trees
 //	4 snapshot    one pst snapshot arena; index = cluster
 //	5 tree        one serialized pst.Tree (PSTv1); index = cluster —
-//	              present for every shrinkage (delegate) cluster, and
-//	              for all clusters when saved WithTrees
+//	              present for all clusters when saved WithTrees, and in
+//	              older bundles beside each shrinkage cluster's legacy
+//	              delegate arena, for the loader to compile it from
 //
 // Every load-path validation failure names the section (or header
 // field) at fault and happens before any allocation proportional to a
@@ -81,9 +82,7 @@ func IsBundleV3(data []byte) bool { return bytes.HasPrefix(data, classifierMagic
 type BundleOptions struct {
 	// WithTrees embeds every cluster's serialized tree alongside its
 	// snapshot arena. Costs size; required when the bundle must rebuild
-	// live trees (the streaming engine's restart-resume path). Trees of
-	// shrinkage (delegate) clusters are always embedded regardless,
-	// since their arenas carry no scan tables.
+	// live trees (the streaming engine's restart-resume path).
 	WithTrees bool
 	// PublishedVersion stamps the publisher's monotonically increasing
 	// snapshot version into the header, so a resumed stream engine
@@ -116,9 +115,8 @@ func (c *Classifier) SaveBundle(w io.Writer, opts BundleOptions) error {
 	}
 	var tmp bytes.Buffer
 	for i := 0; i < n; i++ {
-		snap := c.snaps[i]
-		secs = append(secs, section{bundleSecSnapshot, uint32(i), snap.Arena()})
-		if opts.WithTrees || snap.Delegates() {
+		secs = append(secs, section{bundleSecSnapshot, uint32(i), c.snaps[i].Arena()})
+		if opts.WithTrees {
 			if i >= len(c.trees) || c.trees[i] == nil {
 				return fmt.Errorf("core: cluster %d needs its tree in the bundle but the classifier carries none", i)
 			}
@@ -401,8 +399,9 @@ func LoadClassifierBytes(data []byte, owner any) (*Classifier, error) {
 	}
 
 	// Clusters: a snapshot arena per cluster, reconstructed zero-copy.
-	// Delegate arenas (shrinkage) and WithTrees bundles carry serialized
-	// trees; load them, and recompile delegate snapshots from the tree.
+	// WithTrees bundles carry serialized trees; load them. A legacy
+	// delegate arena (a shrinkage cluster saved before shrinkage trees
+	// compiled per node) carries no tables, so compile it from its tree.
 	c.snaps = make([]*pst.Snapshot, nClusters)
 	var trees []*pst.Tree
 	treeCount := int64(0)

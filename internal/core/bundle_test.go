@@ -130,15 +130,25 @@ func TestBundleV3WithTrees(t *testing.T) {
 	}
 }
 
-// TestBundleV3ShrinkageEmbedsTrees: delegate clusters cannot scan from
-// arenas, so their trees ride along even without WithTrees and the
-// loader recompiles from them.
-func TestBundleV3ShrinkageEmbedsTrees(t *testing.T) {
+// TestBundleV3ShrinkageWithoutTrees: shrinkage clusters compile to
+// ordinary scan tables, so a bundle saved without WithTrees carries no
+// tree section, loads treeless and classifies exactly as the classifier
+// it was saved from.
+func TestBundleV3ShrinkageWithoutTrees(t *testing.T) {
 	clf, probes := trainedClassifier(t, 6)
 	data := saveV3(t, clf, BundleOptions{})
+	le := binary.LittleEndian
+	for i := 0; i < int(le.Uint32(data[20:24])); i++ {
+		if kind := le.Uint32(data[bundleHeaderLen+i*bundleEntryLen:]); kind == bundleSecTree {
+			t.Fatalf("section %d is a tree section; the bundle was saved without WithTrees", i)
+		}
+	}
 	got, err := LoadClassifierBytes(data, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got.Trees() != nil {
+		t.Fatal("a bundle saved without WithTrees must load without trees")
 	}
 	requireSameVerdicts(t, clf, got, probes, "shrinkage")
 }

@@ -104,9 +104,7 @@ func NewClassifier(db *seq.Database, res *Result, cfg Config) (*Classifier, erro
 // compiles from the tree. snaps[i] must have been compiled from a tree
 // with trees[i]'s content, against background's values. The classifier
 // keeps a detached copy (pst.Snapshot.Detached), which shares the
-// compiled tables but not the tree they were compiled from. A
-// delegating (shrinkage) snapshot is refused: it scans its own tree,
-// which the classifier does not own.
+// compiled tables but not the tree they were compiled from.
 func NewClassifierFromParts(trees []*pst.Tree, snaps []*pst.Snapshot, alphabet *seq.Alphabet, background []float64, threshold float64, raw bool) (*Classifier, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("core: classifier needs at least one cluster tree")
@@ -132,9 +130,6 @@ func NewClassifierFromParts(trees []*pst.Tree, snaps []*pst.Snapshot, alphabet *
 		}
 		if snaps == nil || snaps[i] == nil {
 			continue
-		}
-		if snaps[i].Delegates() {
-			return nil, fmt.Errorf("core: snapshot %d delegates to its tree; pass nil to compile from cluster tree %d", i, i)
 		}
 		if !slices.Equal(snaps[i].Background(), background) {
 			return nil, fmt.Errorf("core: snapshot %d was compiled against another background", i)

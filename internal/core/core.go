@@ -348,10 +348,26 @@ func Cluster(db *seq.Database, cfg Config) (*Result, error) {
 	if cfg.PMin == 0 {
 		cfg.PMin = 0.25 / float64(db.Alphabet.Size())
 	}
+	// Check the one configuration every cluster tree shares, so a bad
+	// estimator parameter fails the call instead of panicking the run.
+	treeCfg := pst.Config{
+		AlphabetSize:         db.Alphabet.Size(),
+		MaxDepth:             cfg.MaxDepth,
+		Significance:         cfg.Significance,
+		MaxBytes:             cfg.MaxPSTBytes,
+		Prune:                cfg.Prune,
+		PMin:                 cfg.PMin,
+		Shrinkage:            cfg.Shrinkage,
+		AdaptiveSignificance: cfg.Shrinkage <= 0 && !cfg.FixedSignificance,
+	}
+	if _, err := pst.New(treeCfg); err != nil {
+		return nil, err
+	}
 	e := &engine{
-		db:  db,
-		cfg: cfg,
-		rng: rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x636c7573)),
+		db:      db,
+		cfg:     cfg,
+		treeCfg: treeCfg,
+		rng:     rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x636c7573)),
 		thr: ThresholdAdjuster{
 			LogT:    math.Log(cfg.SimilarityThreshold),
 			Buckets: cfg.HistogramBuckets,

@@ -250,11 +250,21 @@ func TestClusterConfigValidation(t *testing.T) {
 		{SampleFactor: -1},
 		{MaxIterations: -1},
 		{HistogramBuckets: 2},
+		// Estimator parameters no cluster tree accepts: an error, not a
+		// panic inside the run (PMin ≥ 1/n) or an empty result.
+		{PMin: 0.5},
+		{PMin: math.NaN()},
+		{Shrinkage: math.Inf(1)},
+		{Shrinkage: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Cluster(db, cfg); err == nil {
 			t.Errorf("case %d (%+v): want error", i, cfg)
 		}
+	}
+	// A negative κ still means the paper's estimator.
+	if _, err := Cluster(db, Config{Shrinkage: -1}); err != nil {
+		t.Errorf("negative shrinkage rejected: %v", err)
 	}
 	if _, err := Cluster(nil, Config{}); err == nil {
 		t.Error("nil database should fail")

@@ -32,9 +32,11 @@ func determinismDB(t *testing.T, seed uint64) *seq.Database {
 
 // determinismConfigs returns configurations covering the engine's main
 // code paths: the plain run; one exercising refinement passes, merge
-// consolidation, and random examination order on top; and one where
-// §5.1 pruning evicts nodes inside the apply fan-out, under the
-// cluster-based order with whole-sequence inserts.
+// consolidation, and random examination order on top; one where §5.1
+// pruning evicts nodes inside the apply fan-out, under the
+// cluster-based order with whole-sequence inserts; and one with the
+// shrinkage estimator, whose snapshots compile a score row per node
+// inside the compile fan-out.
 func determinismConfigs() map[string]Config {
 	base := Config{
 		InitialClusters: 4, Significance: 15, MinDistinct: 3,
@@ -51,7 +53,9 @@ func determinismConfigs() map[string]Config {
 	pruned.MaxPSTBytes = 100_000
 	pruned.Order = OrderClusterBased
 	pruned.InsertWhole = true
-	return map[string]Config{"base": base, "refine+merge+random": extended, "pruned+cluster-order+whole": pruned}
+	shrinkage := base
+	shrinkage.Shrinkage = 8
+	return map[string]Config{"base": base, "refine+merge+random": extended, "pruned+cluster-order+whole": pruned, "shrinkage": shrinkage}
 }
 
 func TestClusterWorkersDeterminism(t *testing.T) {

@@ -60,6 +60,7 @@ type engine struct {
 	cfg        Config
 	rng        *rand.Rand
 	background []float64
+	treeCfg    pst.Config // every cluster tree's, checked by Cluster
 
 	clusters []*cluster
 	// thr holds the §4.6 threshold state (see ThresholdAdjuster); the
@@ -95,18 +96,7 @@ func (e *engine) logf(format string, args ...any) {
 	}
 }
 
-func (e *engine) newTree() *pst.Tree {
-	return pst.MustNew(pst.Config{
-		AlphabetSize:         e.db.Alphabet.Size(),
-		MaxDepth:             e.cfg.MaxDepth,
-		Significance:         e.cfg.Significance,
-		MaxBytes:             e.cfg.MaxPSTBytes,
-		Prune:                e.cfg.Prune,
-		PMin:                 e.cfg.PMin,
-		Shrinkage:            e.cfg.Shrinkage,
-		AdaptiveSignificance: e.cfg.Shrinkage <= 0 && !e.cfg.FixedSignificance,
-	})
-}
+func (e *engine) newTree() *pst.Tree { return pst.MustNew(e.treeCfg) }
 
 // membershipOf returns, per sequence, the sorted IDs of clusters holding
 // it; used to detect convergence.

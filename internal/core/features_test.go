@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cluseq/internal/datagen"
+	"cluseq/internal/pst"
 	"cluseq/internal/seq"
 )
 
@@ -233,7 +234,11 @@ func TestMergeIntoUnitBehaviour(t *testing.T) {
 	// Direct unit test: a dismissed cluster must be absorbed by the
 	// overlapping survivor — members unioned and tree counts summed.
 	db := testDB(t, 30, 2, 0, 109)
-	e := &engine{db: db, cfg: Config{MinDistinct: 3, MergeConsolidation: true, Significance: 5, MaxDepth: 4}}
+	e := &engine{
+		db:      db,
+		cfg:     Config{MinDistinct: 3, MergeConsolidation: true, Significance: 5, MaxDepth: 4},
+		treeCfg: pst.Config{AlphabetSize: db.Alphabet.Size(), MaxDepth: 4, Significance: 5, AdaptiveSignificance: true},
+	}
 	e.background = db.SymbolFrequencies()
 	mk := func(id int, members ...int) *cluster {
 		c := &cluster{id: id, members: map[int]bool{}, tree: e.newTree()}

@@ -16,7 +16,7 @@ package pst
 //
 //	offset 0: 64-byte fixed header
 //	  [0:4)   magic "PSA3"
-//	  [4:8)   flags (bit 0 descend, bit 1 delegate)
+//	  [4:8)   flags (bit 0 descend; bit 1 legacy delegate, read only)
 //	  [8:12)  alphabet size n
 //	  [12:16) numNodes
 //	  [16:20) rows (prediction rows)
@@ -42,7 +42,8 @@ package pst
 //	                            row id, clear = CSR row id
 //	parent     numNodes int32   BFS parent, the CSR miss fallback chain
 //	row        numNodes int32   prediction row of the node's deepest
-//	                            significant ancestor-or-self
+//	                            significant ancestor-or-self (under
+//	                            shrinkage, the node's own row)
 //	denseTrans denseRows·n i32  full transition rows (fallback resolved)
 //	csrStart   csrRows+1 uint32 CSR row extents into csrSym/csrDst
 //	csrDst     csrEdges int32   CSR transition targets
@@ -52,8 +53,9 @@ package pst
 //	childSym   childEdges u16   descend mode only: child edge symbols
 //
 // nodeTrans/parent/denseTrans/csr* are present only in automaton mode
-// (neither flag set); childStart/childDst/childSym only in descend
-// mode; a delegate arena carries just the header and the background.
+// (descend flag clear); childStart/childDst/childSym only in descend
+// mode. A shrinkage tree compiles like any other, with rows = numNodes.
+// Flag bit 1 alone marks a legacy delegate arena (see ErrArenaDelegates).
 
 import (
 	"encoding/binary"
@@ -71,8 +73,7 @@ const (
 	arenaAlign     = 64
 
 	arenaFlagDescend  = 1 << 0
-	arenaFlagDelegate = 1 << 1
-	arenaKnownFlags   = arenaFlagDescend | arenaFlagDelegate
+	arenaFlagDelegate = 1 << 1 // legacy, read only
 )
 
 // denseFlag marks a nodeTrans entry as indexing a dense transition row;
@@ -114,12 +115,7 @@ type arenaHeader struct {
 	crc        uint32
 }
 
-func (h *arenaHeader) descend() bool  { return h.flags&arenaFlagDescend != 0 }
-func (h *arenaHeader) delegate() bool { return h.flags&arenaFlagDelegate != 0 }
-
-// automaton reports whether the arena carries the per-node transition
-// structure (as opposed to descend-mode child edges or a delegate stub).
-func (h *arenaHeader) automaton() bool { return !h.descend() && !h.delegate() }
+func (h *arenaHeader) descend() bool { return h.flags&arenaFlagDescend != 0 }
 
 // Section indices, in arena order. Keep in sync with sections().
 const (
@@ -151,12 +147,10 @@ func (h *arenaHeader) sections() [numArenaSections][2]int64 {
 	var out [numArenaSections][2]int64
 	n := int64(h.n)
 	num := int64(h.numNodes)
-	if !h.delegate() {
-		out[secLogRatio] = [2]int64{8, int64(h.rows) * n}
-		out[secRow] = [2]int64{4, num}
-	}
+	out[secLogRatio] = [2]int64{8, int64(h.rows) * n}
+	out[secRow] = [2]int64{4, num}
 	out[secBackground] = [2]int64{8, n}
-	if h.automaton() {
+	if !h.descend() {
 		out[secNodeTrans] = [2]int64{4, num}
 		out[secParent] = [2]int64{4, num}
 		out[secDenseTrans] = [2]int64{4, int64(h.denseRows) * n}
@@ -190,23 +184,14 @@ func alignUp64(v, a int64) int64 { return (v + a - 1) &^ (a - 1) }
 // validate rejects implausible headers with section-free arithmetic,
 // before offsets() or any allocation runs.
 func (h *arenaHeader) validate() error {
-	if h.flags&^uint32(arenaKnownFlags) != 0 {
+	if h.flags&^uint32(arenaFlagDescend) != 0 {
 		return fmt.Errorf("pst: arena header: unknown flags %#x", h.flags)
-	}
-	if h.descend() && h.delegate() {
-		return fmt.Errorf("pst: arena header: descend and delegate flags are mutually exclusive")
 	}
 	if h.n == 0 || int64(h.n) > int64(seq.MaxAlphabetSize) {
 		return fmt.Errorf("pst: arena header: alphabet size %d outside [1, %d]", h.n, seq.MaxAlphabetSize)
 	}
 	if int64(h.arenaLen) > maxArenaLen {
 		return fmt.Errorf("pst: arena header: length %d exceeds the %d cap", h.arenaLen, maxArenaLen)
-	}
-	if h.delegate() {
-		if h.numNodes != 0 || h.rows != 0 || h.denseRows != 0 || h.csrRows != 0 || h.csrEdges != 0 || h.childEdges != 0 {
-			return fmt.Errorf("pst: arena header: delegate arena declares node sections")
-		}
-		return nil
 	}
 	if h.numNodes < 1 || int64(h.numNodes) > maxLoadNodes {
 		return fmt.Errorf("pst: arena header: node count %d outside [1, %d]", h.numNodes, maxLoadNodes)
@@ -407,7 +392,6 @@ func (s *Snapshot) attach(arena []byte, h *arenaHeader) {
 	s.n = int(h.n)
 	s.maxDepth = int(h.maxDepth)
 	s.descend = h.descend()
-	s.delegate = h.delegate()
 	s.logRatio = viewF64s(sec(secLogRatio), secs[secLogRatio][1])
 	s.background = viewF64s(sec(secBackground), secs[secBackground][1])
 	s.nodeTrans = viewU32s[uint32](sec(secNodeTrans), secs[secNodeTrans][1])
@@ -428,9 +412,8 @@ func (s *Snapshot) attach(arena []byte, h *arenaHeader) {
 // snapshot's tables are zero-copy views into data, which therefore must
 // stay immutable (and mapped) for the snapshot's lifetime; the loader
 // performs no allocation proportional to the declared sizes beyond the
-// validation arithmetic. A delegate-mode arena (compiled from a
-// shrinkage tree) yields ErrArenaDelegates: such models cannot scan
-// from tables and the caller must recompile from the serialized tree.
+// validation arithmetic. A legacy delegate arena yields
+// ErrArenaDelegates as soon as its header decodes.
 //
 // owner, if non-nil, is retained for the snapshot's lifetime — pass
 // whatever keeps data's bytes valid (the mmap'd file region), so the
@@ -443,6 +426,9 @@ func SnapshotFromArena(data []byte, owner any) (*Snapshot, error) {
 	h, err := decodeArenaHeader(data)
 	if err != nil {
 		return nil, err
+	}
+	if h.flags == arenaFlagDelegate {
+		return nil, ErrArenaDelegates
 	}
 	if err := h.validate(); err != nil {
 		return nil, err
@@ -457,9 +443,6 @@ func SnapshotFromArena(data []byte, owner any) (*Snapshot, error) {
 	if got := crc32.Checksum(data[arenaHeaderLen:], castagnoli); got != h.crc {
 		return nil, fmt.Errorf("pst: arena payload checksum %#x does not match header %#x", got, h.crc)
 	}
-	if h.delegate() {
-		return nil, ErrArenaDelegates
-	}
 	if arenaZeroCopy && uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
 		// Zero-copy views need natural alignment for the float64 tables.
 		// mmap hands back page-aligned bases and bundle sections are
@@ -472,10 +455,12 @@ func SnapshotFromArena(data []byte, owner any) (*Snapshot, error) {
 	return s, nil
 }
 
-// ErrArenaDelegates reports an arena whose snapshot delegates to the
-// tree scan (shrinkage estimation): it carries no tables, so callers
-// must deserialize the accompanying tree and compile from it instead.
-var ErrArenaDelegates = fmt.Errorf("pst: arena snapshot delegates to the tree scan; recompile from the serialized tree")
+// ErrArenaDelegates reports a legacy delegate arena: until shrinkage
+// trees compiled per node, CompileSnapshot wrote for each one a stub
+// without tables, and bundles carried the tree beside it. Callers
+// deserialize that tree and compile from it instead, so such bundles
+// still load.
+var ErrArenaDelegates = fmt.Errorf("pst: legacy delegate arena carries no scan tables; recompile from the serialized tree")
 
 // Arena returns the snapshot's backing slab — the exact bytes a bundle
 // stores and SnapshotFromArena accepts. Callers must not mutate it.

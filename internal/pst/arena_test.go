@@ -99,13 +99,15 @@ func TestArenaDecodeFallback(t *testing.T) {
 	}
 }
 
-// TestArenaDelegateRejected: a shrinkage-mode arena carries no tables,
-// so standalone loading must fail with the sentinel error.
+// TestArenaDelegateRejected: an arena with the legacy delegate flag,
+// built by hand since CompileSnapshot no longer writes one, carries no
+// tables, so standalone loading must fail with the sentinel error the
+// bundle loader recompiles on.
 func TestArenaDelegateRejected(t *testing.T) {
-	tree := MustNew(Config{AlphabetSize: 4, MaxDepth: 3, Significance: 2, Shrinkage: 4, PMin: 0.01})
-	tree.Insert([]seq.Symbol{0, 1, 2, 3, 0, 1})
-	snap := tree.CompileSnapshot(uniformBg(4))
-	if _, err := SnapshotFromArena(append([]byte(nil), snap.Arena()...), nil); !errors.Is(err, ErrArenaDelegates) {
+	arena, _ := buildArena(arenaHeader{flags: arenaFlagDelegate, n: 4}, func(offs [numArenaSections]int64, arena []byte) {
+		putF64s(arena[offs[secBackground]:], uniformBg(4))
+	})
+	if _, err := SnapshotFromArena(arena, nil); !errors.Is(err, ErrArenaDelegates) {
 		t.Fatalf("want ErrArenaDelegates, got %v", err)
 	}
 }

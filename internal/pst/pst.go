@@ -111,7 +111,8 @@ type Config struct {
 	// sharing local segments with its seed), while a context observed
 	// hundreds of times dominates its parent (the statistical regime the
 	// significance threshold c was designed to protect). κ ≈ 4–16 works
-	// well; zero selects the paper's hard-cutoff estimation.
+	// well; zero or negative selects the paper's hard-cutoff estimation.
+	// Must be finite. Snapshots compile it with a score row per node.
 	Shrinkage float64
 }
 
@@ -131,8 +132,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Significance < 1 {
 		return c, fmt.Errorf("pst: Significance must be at least 1, got %d", c.Significance)
 	}
-	if c.PMin < 0 || c.PMin*float64(c.AlphabetSize) >= 1 {
+	if !(c.PMin >= 0) || c.PMin*float64(c.AlphabetSize) >= 1 {
 		return c, fmt.Errorf("pst: PMin must lie in [0, 1/alphabetSize), got %g", c.PMin)
+	}
+	if math.IsNaN(c.Shrinkage) || math.IsInf(c.Shrinkage, 0) {
+		return c, fmt.Errorf("pst: Shrinkage must be finite, got %g", c.Shrinkage)
 	}
 	return c, nil
 }
@@ -401,10 +405,18 @@ func (t *Tree) predictShrunk(context []seq.Symbol, s seq.Symbol) float64 {
 		if c == NoSlot {
 			break
 		}
-		b = (float64(t.nextRow(c)[s]) + kappa*b) / (float64(t.count[c]) + kappa)
+		b = shrink(t.nextRow(c)[s], t.count[c], kappa, b)
 		x = c
 	}
 	return b
+}
+
+// shrink is one blend step, shared by predictShrunk and CompileSnapshot
+// so the compiled score rows replay the tree scan's arithmetic exactly.
+//
+//cluseq:hotpath
+func shrink(next, count int64, kappa, b float64) float64 {
+	return (float64(next) + kappa*b) / (float64(count) + kappa)
 }
 
 // adjust applies the §5.2 smoothing: P̂ = (1 − n·p_min)·P + p_min.

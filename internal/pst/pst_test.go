@@ -27,6 +27,10 @@ func TestConfigValidation(t *testing.T) {
 		{AlphabetSize: 2, Significance: -1},
 		{AlphabetSize: 4, PMin: 0.25}, // n·PMin = 1
 		{AlphabetSize: 4, PMin: -0.1},
+		{AlphabetSize: 4, PMin: math.NaN()},
+		{AlphabetSize: 4, Shrinkage: math.NaN()},
+		{AlphabetSize: 4, Shrinkage: math.Inf(1)},
+		{AlphabetSize: 4, Shrinkage: math.Inf(-1)},
 		{AlphabetSize: 1000, MaxBytes: 100}, // budget below 4 nodes
 	}
 	for i, cfg := range cases {
@@ -40,6 +44,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if got := tr.Config(); got.MaxDepth != DefaultMaxDepth || got.Significance != DefaultSignificance {
 		t.Fatalf("defaults not applied: %+v", got)
+	}
+	// A negative shrinkage means off, as saved trees may carry it.
+	if _, err := New(Config{AlphabetSize: 2, Shrinkage: -1}); err != nil {
+		t.Fatalf("negative shrinkage rejected: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package pst
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
@@ -177,6 +178,40 @@ func TestLoadRejectsTamperedNodeCount(t *testing.T) {
 	data[79] = 1 // clobber node count
 	if _, err := Load(bytes.NewReader(data)); err == nil {
 		t.Fatal("Load should reject mismatched node count")
+	}
+}
+
+// TestLoadRejectsNonFiniteEstimator: a header whose p_min or shrinkage
+// field is not a finite number the estimator accepts fails to load, as
+// New rejects it.
+func TestLoadRejectsNonFiniteEstimator(t *testing.T) {
+	tree := MustNew(Config{AlphabetSize: 3, MaxDepth: 3, Significance: 1, Shrinkage: 4})
+	tree.Insert([]seq.Symbol{0, 1, 2, 0, 1})
+	var buf bytes.Buffer
+	if err := tree.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// p_min sits after magic(6) and 5×int64, shrinkage after p_min and
+	// the adaptive byte.
+	const pminOff, shrinkOff = 6 + 40, 6 + 40 + 8 + 1
+	for _, tc := range []struct {
+		name string
+		off  int
+		v    float64
+	}{
+		{"p_min NaN", pminOff, math.NaN()},
+		{"shrinkage NaN", shrinkOff, math.NaN()},
+		{"shrinkage +Inf", shrinkOff, math.Inf(1)},
+		{"shrinkage -Inf", shrinkOff, math.Inf(-1)},
+	} {
+		data := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint64(data[tc.off:], math.Float64bits(tc.v))
+		if _, err := Load(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: Load should fail", tc.name)
+		}
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("the untampered tree must load: %v", err)
 	}
 }
 

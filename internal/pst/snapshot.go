@@ -57,6 +57,11 @@ import (
 //     variant) depends only on tree state, which is frozen at compile
 //     time.
 //
+// Shrinkage-mode trees (Config.Shrinkage > 0) compile with one score row
+// per node: the shrunk estimate blends counts down the root path to the
+// deepest matching node, so it is a function of that node alone, which
+// the compiler evaluates top-down with the tree scan's arithmetic.
+//
 // The O(1)-per-symbol transition automaton has one additional soundness
 // requirement: the tree must be slink-closed — every node's context
 // minus its most recent symbol must itself be a node. Insert maintains
@@ -69,19 +74,12 @@ import (
 // O(L) per symbol like Tree.Similarity, but still allocation-, lock-
 // and logarithm-free.
 //
-// Shrinkage-mode trees (Config.Shrinkage > 0) blend probabilities along
-// the whole context path, which does not flatten into a per-node table;
-// for those the Snapshot transparently delegates to Tree.Similarity, so
-// callers can compile unconditionally and keep one code path.
-//
 // A Snapshot never observes later tree mutations: it copies everything
-// it needs at compile time (the delegating shrinkage path relies on the
-// caller's freeze discipline, exactly as Tree.Similarity's concurrent
-// readers do). Callers detect staleness with Valid, which compares the
-// tree identity and Version stamp — the same invalidation rule the
-// clustering engine's similarity cache uses — and score live trees
-// through Score, which falls back to Tree.Similarity once the snapshot
-// is stale. A snapshot reconstructed from a serialized arena
+// it needs at compile time. Callers detect staleness with Valid, which
+// compares the tree identity and Version stamp — the same invalidation
+// rule the clustering engine's similarity cache uses — and score live
+// trees through Score, which falls back to Tree.Similarity once the
+// snapshot is stale. A snapshot reconstructed from a serialized arena
 // (SnapshotFromArena) or detached from its tree (Detached) has no tree
 // at all (Tree returns nil), so it never goes stale.
 //
@@ -90,11 +88,6 @@ type Snapshot struct {
 	tree    *Tree
 	version uint64
 	n       int // alphabet size
-
-	// delegate: shrinkage-mode estimation cannot be compiled per node;
-	// Similarity falls through to tree.Similarity (bit-identical by
-	// construction: it is the same scan).
-	delegate bool
 
 	// descend: the tree is not slink-closed (pruning evicted interior
 	// suffix contexts), so no exact transition automaton exists; scan by
@@ -127,8 +120,9 @@ type Snapshot struct {
 	childDst   []int32
 
 	// row[node] indexes the precomputed score row of the node's deepest
-	// significant ancestor-or-self; logRatio[row*n + sym] is the fully
-	// adjusted ln P̂(sym | ctx) − ln p(sym) (−Inf for impossible symbols).
+	// significant ancestor-or-self (under shrinkage, the node's own row);
+	// logRatio[row*n + sym] is the fully adjusted ln P̂(sym | ctx) −
+	// ln p(sym) (−Inf for impossible symbols).
 	row      []int32
 	logRatio []float64
 
@@ -167,15 +161,6 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 		panic(fmt.Sprintf("pst: background distribution has %d entries, alphabet has %d", len(background), n))
 	}
 	s := &Snapshot{tree: t, version: t.version}
-	if t.cfg.Shrinkage > 0 {
-		h := arenaHeader{flags: arenaFlagDelegate, n: uint32(n)}
-		arena, hh := buildArena(h, func(offs [numArenaSections]int64, arena []byte) {
-			putF64s(arena[offs[secBackground]:], background)
-		})
-		s.attach(arena, &hh)
-		s.background = background
-		return s
-	}
 
 	// Flatten the tree in breadth-first order, each node's children in
 	// the ascending order of its run: a node's parent always precedes it
@@ -228,33 +213,60 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 	// Score rows: one per prediction-capable node (root + significant
 	// nodes); every other node inherits the row of its deepest
 	// significant ancestor — exact because significance is monotone
-	// along root paths. The row entries replay the scan's arithmetic —
-	// adjust(prob) then Log minus the background log — so the compiled
-	// values are bit-identical to what Tree.Similarity computes per
-	// symbol.
+	// along root paths. Under shrinkage every node has its own row. The
+	// row entries replay the scan's arithmetic — the estimate, adjust,
+	// then Log minus the background log — so the compiled values are
+	// bit-identical to what Tree.Similarity computes per symbol.
 	logBg := t.logBackground(background)
 	row := make([]int32, num)
 	rows := 0
-	for i, x := range nodes {
-		if t.Significant(x) {
-			row[i] = int32(rows)
-			rows++
-		} else {
-			row[i] = row[parent[i]]
+	var logRatio []float64
+	if kappa := t.cfg.Shrinkage; kappa > 0 {
+		// Every node scores with its own row, predictShrunk's blend down
+		// to it; BFS order blends a parent's raw row before its children.
+		rows = num
+		logRatio = make([]float64, num*n)
+		for sym := range n {
+			logRatio[sym] = t.prob(nodes[0], seq.Symbol(sym))
 		}
-	}
-	logRatio := make([]float64, rows*n)
-	for i, x := range nodes {
-		if !t.Significant(x) {
-			continue
+		for i := 1; i < num; i++ {
+			row[i] = int32(i)
+			x, base, pbase := nodes[i], i*n, int(parent[i])*n
+			for sym, next := range t.nextRow(x) {
+				logRatio[base+sym] = shrink(next, t.count[x], kappa, logRatio[pbase+sym])
+			}
 		}
-		base := int(row[i]) * n
-		for sym := 0; sym < n; sym++ {
-			p := t.adjust(t.prob(x, seq.Symbol(sym)))
-			if p <= 0 {
-				logRatio[base+sym] = math.Inf(-1)
+		for base := 0; base < len(logRatio); base += n {
+			for sym, b := range logRatio[base : base+n] {
+				if p := t.adjust(b); p <= 0 {
+					logRatio[base+sym] = math.Inf(-1)
+				} else {
+					logRatio[base+sym] = math.Log(p) - logBg[sym]
+				}
+			}
+		}
+	} else {
+		for i, x := range nodes {
+			if t.Significant(x) {
+				row[i] = int32(rows)
+				rows++
 			} else {
-				logRatio[base+sym] = math.Log(p) - logBg[sym]
+				row[i] = row[parent[i]]
+			}
+		}
+		logRatio = make([]float64, rows*n)
+		for i, x := range nodes {
+			if !t.Significant(x) {
+				continue
+			}
+			base := int(row[i]) * n
+			for sym := 0; sym < n; sym++ {
+				p := t.adjust(t.prob(x, seq.Symbol(sym)))
+				if p <= 0 {
+					logRatio[base+sym] = math.Inf(-1)
+				} else {
+					logRatio[base+sym] = math.Log(p) - logBg[sym]
+				}
 			}
 		}
 	}
@@ -451,13 +463,8 @@ func (s *Snapshot) Tree() *Tree { return s.tree }
 // Detached returns a snapshot that shares s's compiled tables, which
 // are immutable once compiled, but not its tree: like a snapshot loaded
 // from a bundle, it has no Tree and never goes stale. Its holder keeps
-// no reference to a tree that s's compiler may go on mutating. A
-// delegating snapshot scans its tree, so it cannot be detached:
-// Detached returns nil for it.
+// no reference to a tree that s's compiler may go on mutating.
 func (s *Snapshot) Detached() *Snapshot {
-	if s.delegate {
-		return nil
-	}
 	d := *s
 	d.tree, d.version = nil, 0
 	return &d
@@ -466,13 +473,6 @@ func (s *Snapshot) Detached() *Snapshot {
 // Background returns the background distribution the snapshot's log
 // ratios were folded with. Callers must not mutate it.
 func (s *Snapshot) Background() []float64 { return s.background }
-
-// Delegates reports whether the snapshot delegates scanning to the
-// tree (shrinkage estimation): its arena carries no tables, so
-// serializing such a cluster requires the tree itself.
-//
-//cluseq:hotpath
-func (s *Snapshot) Delegates() bool { return s.delegate }
 
 // Valid reports whether the snapshot still reflects t exactly: it was
 // compiled from this very tree and the tree has not mutated since. This
@@ -594,9 +594,6 @@ func (s *Snapshot) stepCSR(tr uint32, cur int32, sym seq.Symbol) int32 {
 //
 //cluseq:hotpath
 func (s *Snapshot) Similarity(symbols []seq.Symbol) Similarity {
-	if s.delegate {
-		return s.tree.Similarity(symbols, s.background)
-	}
 	if len(symbols) == 0 {
 		return Similarity{LogSim: math.Inf(-1)}
 	}

@@ -1,6 +1,7 @@
 package pst
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -29,9 +30,10 @@ func uniformBg(n int) []float64 {
 
 // TestSnapshotMatchesTreeRandom sweeps random trees across the
 // estimator's configuration space: PMin on/off, adaptive significance,
-// and all three transition-row mixes (per-node hybrid, all-dense,
-// all-CSR — the latter two forced through the occupancy knob so the
-// climb/override code paths are exercised regardless of tree shape).
+// the shrinkage estimator on every other trial, and all three
+// transition-row mixes (per-node hybrid, all-dense, all-CSR — the
+// latter two forced through the occupancy knob so the climb/override
+// code paths are exercised regardless of tree shape).
 func TestSnapshotMatchesTreeRandom(t *testing.T) {
 	for _, mode := range []struct {
 		name      string
@@ -58,6 +60,9 @@ func TestSnapshotMatchesTreeRandom(t *testing.T) {
 					cfg.PMin = 0.5 / float64(alpha) * rng.Float64()
 				}
 				cfg.AdaptiveSignificance = rng.IntN(2) == 0
+				if trial%2 == 1 {
+					cfg.Shrinkage = 0.5 + 16*rng.Float64()
+				}
 				tree := MustNew(cfg)
 				for k := 0; k < 1+rng.IntN(4); k++ {
 					tree.Insert(randomSymbols(rng, 20+rng.IntN(150), alpha))
@@ -114,20 +119,43 @@ func TestSnapshotNoSmoothing(t *testing.T) {
 	}
 }
 
-// TestSnapshotShrinkageDelegates covers the shrinkage estimator, which
-// cannot be compiled per node: the snapshot must delegate and still be
-// exact.
-func TestSnapshotShrinkageDelegates(t *testing.T) {
-	rng := rand.New(rand.NewPCG(47, 48))
-	tree := MustNew(Config{AlphabetSize: 5, MaxDepth: 4, Significance: 3, Shrinkage: 8, PMin: 0.01})
-	tree.Insert(randomSymbols(rng, 300, 5))
-	bg := uniformBg(5)
-	snap := tree.CompileSnapshot(bg)
-	if !snap.delegate {
-		t.Fatal("shrinkage-mode snapshot must delegate to the tree scan")
-	}
-	for probe := 0; probe < 20; probe++ {
-		requireIdentical(t, tree, snap, randomSymbols(rng, 1+rng.IntN(80), 5), bg)
+// TestSnapshotShrinkage covers the shrinkage estimator, whose blended
+// estimate depends on the deepest matching node alone: the snapshot
+// compiles one score row per node, in automaton and descend mode, and
+// scores exactly as the tree does, before and after an arena round
+// trip.
+func TestSnapshotShrinkage(t *testing.T) {
+	for _, prune := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prune=%v", prune), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(47, 48))
+			// Expected-vector pruning evicts interior suffix contexts of
+			// this tree, so the pruned case compiles the descend mode.
+			tree := MustNew(Config{AlphabetSize: 5, MaxDepth: 4, Significance: 3, Shrinkage: 8, PMin: 0.01, Prune: PruneExpectedVector})
+			tree.Insert(randomSymbols(rng, 300, 5))
+			if prune {
+				tree.Prune(tree.NumNodes() / 2)
+			}
+			bg := uniformBg(5)
+			snap := tree.CompileSnapshot(bg)
+			if snap.descend != prune {
+				t.Fatalf("descend mode %v, want %v", snap.descend, prune)
+			}
+			num := tree.NumNodes()
+			if len(snap.row) != num || len(snap.logRatio) != num*5 {
+				t.Fatalf("%d row entries and %d ratios for %d nodes, want one score row per node", len(snap.row), len(snap.logRatio), num)
+			}
+			for i, r := range snap.row {
+				if int(r) != i {
+					t.Fatalf("node %d scores with row %d, want its own", i, r)
+				}
+			}
+			loaded := reattach(t, snap)
+			for probe := 0; probe < 20; probe++ {
+				p := randomSymbols(rng, 1+rng.IntN(80), 5)
+				requireIdentical(t, tree, snap, p, bg)
+				requireIdentical(t, tree, loaded, p, bg)
+			}
+		})
 	}
 }
 
@@ -267,7 +295,8 @@ func TestSnapshotBackgroundMismatchPanics(t *testing.T) {
 
 // FuzzSnapshotSimilarity drives random construction and probes through
 // the compiled and the tree scan, including pruning (which exercises
-// the bounded-descent compile path).
+// the bounded-descent compile path) and, for a quarter of the seeds,
+// the shrinkage estimator.
 func FuzzSnapshotSimilarity(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 0, 1}, []byte{2, 1, 0}, false)
 	f.Add(uint64(7), []byte{3, 3, 3, 1}, []byte{1, 3, 1, 3}, true)
@@ -281,6 +310,9 @@ func FuzzSnapshotSimilarity(f *testing.F) {
 		}
 		if seed%3 == 0 {
 			cfg.PMin = 0.1 / float64(alpha)
+		}
+		if seed%4 == 2 {
+			cfg.Shrinkage = float64(1+seed/4%16) / 2
 		}
 		tree := MustNew(cfg)
 		segment := make([]seq.Symbol, 0, len(data))
@@ -304,11 +336,12 @@ func FuzzSnapshotSimilarity(f *testing.F) {
 }
 
 // benchTree builds a deterministic scoring workload: a tree grown from
-// cluster-like segments plus probe sequences to score against it.
-func benchTree(b *testing.B, alpha, seqLen int) (*Tree, [][]seq.Symbol, []float64) {
+// cluster-like segments plus probe sequences to score against it, with
+// the shrinkage estimator when kappa is positive.
+func benchTree(b *testing.B, alpha, seqLen int, kappa float64) (*Tree, [][]seq.Symbol, []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewPCG(61, 62))
-	tree := MustNew(Config{AlphabetSize: alpha, MaxDepth: 6, Significance: 10, PMin: 0.25 / float64(alpha)})
+	tree := MustNew(Config{AlphabetSize: alpha, MaxDepth: 6, Significance: 10, PMin: 0.25 / float64(alpha), Shrinkage: kappa})
 	for i := 0; i < 40; i++ {
 		tree.Insert(randomSymbols(rng, seqLen, alpha))
 	}
@@ -330,7 +363,7 @@ func BenchmarkSimilarity(b *testing.B) {
 		{"alpha10_len200", 10, 200},
 		{"alpha50_len500", 50, 500},
 	} {
-		tree, probes, bg := benchTree(b, size.alpha, size.slen)
+		tree, probes, bg := benchTree(b, size.alpha, size.slen, 0)
 		snap := tree.CompileSnapshot(bg)
 		b.Run(size.name+"/tree", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -347,11 +380,23 @@ func BenchmarkSimilarity(b *testing.B) {
 
 // BenchmarkCompileSnapshot prices the compilation itself, the cost the
 // engine pays once per (cluster, scoring pass).
-func BenchmarkCompileSnapshot(b *testing.B) {
-	tree, _, bg := benchTree(b, 20, 300)
-	b.ReportMetric(float64(tree.NumNodes()), "nodes")
+func BenchmarkCompileSnapshot(b *testing.B) { benchCompile(b, 0) }
+
+// BenchmarkCompileSnapshotShrinkage prices the same compile under the
+// shrinkage estimator, whose score rows are one per node rather than
+// one per significant node.
+func BenchmarkCompileSnapshotShrinkage(b *testing.B) { benchCompile(b, 8) }
+
+// benchCompile compiles benchTree's tree b.N times and reports its node
+// count and the arena bytes the snapshot takes per node.
+func benchCompile(b *testing.B, kappa float64) {
+	tree, _, bg := benchTree(b, 20, 300, kappa)
 	b.ResetTimer()
+	var snap *Snapshot
 	for i := 0; i < b.N; i++ {
-		tree.CompileSnapshot(bg)
+		snap = tree.CompileSnapshot(bg)
 	}
+	// Reported after the loop: ResetTimer drops user metrics.
+	b.ReportMetric(float64(tree.NumNodes()), "nodes")
+	b.ReportMetric(float64(snap.ArenaBytes())/float64(tree.NumNodes()), "arenaB/node")
 }

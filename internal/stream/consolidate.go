@@ -221,13 +221,13 @@ func (e *Engine) covers(c, target *scluster) bool {
 }
 
 // score is the stream's one way to score a live cluster: through its
-// snapshot, or through the tree when the snapshot is stale or delegates
+// snapshot, or through the tree when the snapshot is stale
 // (pst.Snapshot.Score). It counts the scans that read the tree, so the
 // tree-scan share is measured where it happens.
 //
 //cluseq:hotpath
 func (e *Engine) score(c *scluster, syms []seq.Symbol) pst.Similarity {
-	if !c.snap.Valid(c.tree) || c.snap.Delegates() {
+	if !c.snap.Valid(c.tree) {
 		e.met.treeScans.Inc()
 	}
 	return c.snap.Score(c.tree, syms, e.background)
@@ -254,11 +254,10 @@ func (e *Engine) compileSnapshots(all bool) {
 // publishLocked freezes the current clusters into a classifier and
 // hands it to the Publish callback. Trees are deep-cloned so the
 // published model is immutable while the live trees keep absorbing the
-// stream. The classifier takes the snapshots the pass just compiled
-// (their tables are immutable) instead of compiling the clones again;
-// a shrinkage snapshot, which scans its own tree, is compiled from its
-// clone. An empty engine publishes nothing: a classifier needs at least
-// one cluster.
+// stream. The classifier takes the snapshots the pass just compiled for
+// every cluster (their tables are immutable) instead of compiling the
+// clones again. An empty engine publishes nothing: a classifier needs
+// at least one cluster.
 //
 //cluseq:deterministic
 func (e *Engine) publishLocked() {
@@ -269,11 +268,7 @@ func (e *Engine) publishLocked() {
 	snaps := make([]*pst.Snapshot, len(e.clusters))
 	for i, c := range e.clusters {
 		trees[i] = c.tree.Clone()
-		if c.snap.Valid(c.tree) && !c.snap.Delegates() {
-			snaps[i] = c.snap
-		} else {
-			e.met.snapshotCompiles.Inc()
-		}
+		snaps[i] = c.snap
 	}
 	clf, err := core.NewClassifierFromParts(trees, snaps, e.cfg.Alphabet, e.background, e.thr.Threshold(), e.cfg.RawSimilarity)
 	if err != nil {

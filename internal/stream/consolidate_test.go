@@ -17,9 +17,8 @@ import (
 // singleton still current since its founding: the pass compiles the two
 // stale ones before the merge test, so the test — which merges nothing
 // — scans no tree, then all three after the background refresh, and the
-// publish takes those, so it compiles nothing. With shrinkage, whose
-// snapshots scan their own tree, every published cluster compiles from
-// its clone.
+// publish takes those, so it compiles nothing. Shrinkage trees compile
+// like any other, so both legs count the same.
 func TestConsolidationCounters(t *testing.T) {
 	for _, shrinkage := range []float64{0, 8} {
 		t.Run(fmt.Sprintf("shrinkage%v", shrinkage), func(t *testing.T) {
@@ -63,19 +62,10 @@ func TestConsolidationCounters(t *testing.T) {
 			if st.Merges != 0 || st.Dissolves != 0 || st.Clusters != 3 {
 				t.Fatalf("the pass changed the clusters (%+v); it must merge nothing", st)
 			}
-			wantScans, wantCompiles := int64(0), int64(stale+st.Clusters)
-			if shrinkage > 0 {
-				// Every coverage score delegates to the tree, and every
-				// published cluster compiles from its clone.
-				wantScans = -1
-				wantCompiles += int64(st.Clusters)
+			if got := scans.Value() - scans0; got != 0 {
+				t.Fatalf("merge test read the tree %d times, want 0", got)
 			}
-			if got := scans.Value() - scans0; wantScans >= 0 && got != wantScans {
-				t.Fatalf("merge test read the tree %d times, want %d", got, wantScans)
-			} else if wantScans < 0 && got == 0 {
-				t.Fatal("shrinkage coverage scores counted no tree scans")
-			}
-			if got := compiles.Value() - compiles0; got != wantCompiles {
+			if got, wantCompiles := compiles.Value()-compiles0, int64(stale+st.Clusters); got != wantCompiles {
 				t.Fatalf("pass compiled %d snapshots, want %d (%d stale before the merge test, %d after the refresh, none at publish)",
 					got, wantCompiles, stale, st.Clusters)
 			}
@@ -86,9 +76,8 @@ func TestConsolidationCounters(t *testing.T) {
 // TestPublishedSnapshotsMatchClones pins the snapshot-publication
 // contract: every published classifier's snapshots are byte for byte
 // what compiling its own cloned trees against its own background gives,
-// and none refers to a tree the engine owns. A shared snapshot is
-// detached (no tree); a shrinkage snapshot, which scans its tree, scans
-// the classifier's clone.
+// and none refers to a tree the engine owns: each is detached (no
+// tree), with or without shrinkage.
 func TestPublishedSnapshotsMatchClones(t *testing.T) {
 	db, order := syntheticStream(t, 300)
 	for _, shrinkage := range []float64{0, 8} {
@@ -115,15 +104,11 @@ func TestPublishedSnapshotsMatchClones(t *testing.T) {
 					if !bytes.Equal(snap.Arena(), fresh.Arena()) {
 						t.Fatalf("v%d cluster %d: published arena differs from a compile of its clone", version, i)
 					}
-					if engineTrees[snap.Tree()] || engineTrees[trees[i]] {
+					if engineTrees[trees[i]] {
 						t.Fatalf("v%d cluster %d: the published model refers to an engine-owned tree", version, i)
 					}
-					want := (*pst.Tree)(nil)
-					if shrinkage > 0 {
-						want = trees[i]
-					}
-					if snap.Tree() != want {
-						t.Fatalf("v%d cluster %d: snapshot tree %p, want %p", version, i, snap.Tree(), want)
+					if snap.Tree() != nil {
+						t.Fatalf("v%d cluster %d: published snapshot refers to tree %p, want a detached snapshot", version, i, snap.Tree())
 					}
 				}
 			}

@@ -19,13 +19,12 @@ type streamMetrics struct {
 	dissolved      *obs.Counter
 	published      *obs.Counter
 	// snapshotCompiles counts every snapshot the engine compiles: at
-	// founding, on resume, before the merge test (stale clusters only),
-	// after the background refresh (every cluster) and at publish (only
-	// shrinkage clusters, whose snapshots scan their own tree).
+	// founding, on resume, before the merge test (stale clusters only)
+	// and after the background refresh (every cluster). A publish
+	// compiles nothing: it shares the snapshots the refresh compiled.
 	snapshotCompiles *obs.Counter
 	// treeScans counts the similarity scores that read a tree rather
-	// than compiled tables: a stale snapshot's fallback, or a shrinkage
-	// snapshot's delegation.
+	// than compiled tables: a stale snapshot's fallback.
 	treeScans *obs.Counter
 	// pruneEvents and prunedNodes count the §5.1 prune passes and the
 	// nodes they evicted, labeled by strategy: the delta each Insert and

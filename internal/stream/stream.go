@@ -296,6 +296,8 @@ type Engine struct {
 	simLen  int
 	simNext int
 
+	treeCfg pst.Config // every cluster tree's, checked by New
+
 	// pool serves the per-ingest scoring fan-out; nil when Workers=1.
 	pool *pool.Pool
 	// sims/norms are per-cluster scratch, index-partitioned by the
@@ -325,8 +327,24 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	n := cfg.Alphabet.Size()
+	// Check the one configuration every cluster tree shares, so a bad
+	// estimator parameter fails New, not the first Ingest under e.mu.
+	treeCfg := pst.Config{
+		AlphabetSize:         n,
+		MaxDepth:             cfg.MaxDepth,
+		Significance:         cfg.Significance,
+		MaxBytes:             cfg.MaxPSTBytes,
+		Prune:                cfg.Prune,
+		PMin:                 cfg.PMin,
+		Shrinkage:            cfg.Shrinkage,
+		AdaptiveSignificance: cfg.Shrinkage <= 0 && !cfg.FixedSignificance,
+	}
+	if _, err := pst.New(treeCfg); err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:        cfg,
+		treeCfg:    treeCfg,
 		background: make([]float64, n),
 		symCounts:  make([]int64, n),
 		thr: core.ThresholdAdjuster{
@@ -420,7 +438,7 @@ func (e *Engine) adoptResume(clf *core.Classifier) error {
 	if len(bg) != e.cfg.Alphabet.Size() {
 		return fmt.Errorf("stream: Resume background has %d symbols, engine alphabet %d", len(bg), e.cfg.Alphabet.Size())
 	}
-	want := e.newTree().Config()
+	want := e.treeCfg
 	for i, t := range trees {
 		if got := t.Config(); got.AlphabetSize != want.AlphabetSize || got.MaxDepth != want.MaxDepth {
 			return fmt.Errorf("stream: Resume tree %d trained with alphabet %d depth %d, engine wants alphabet %d depth %d (consolidation merges would mix incompatible trees)",
@@ -449,18 +467,7 @@ func (e *Engine) adoptResume(clf *core.Classifier) error {
 	return nil
 }
 
-func (e *Engine) newTree() *pst.Tree {
-	return pst.MustNew(pst.Config{
-		AlphabetSize:         e.cfg.Alphabet.Size(),
-		MaxDepth:             e.cfg.MaxDepth,
-		Significance:         e.cfg.Significance,
-		MaxBytes:             e.cfg.MaxPSTBytes,
-		Prune:                e.cfg.Prune,
-		PMin:                 e.cfg.PMin,
-		Shrinkage:            e.cfg.Shrinkage,
-		AdaptiveSignificance: e.cfg.Shrinkage <= 0 && !e.cfg.FixedSignificance,
-	})
-}
+func (e *Engine) newTree() *pst.Tree { return pst.MustNew(e.treeCfg) }
 
 // Ingest absorbs one sequence and returns its verdict.
 func (e *Engine) Ingest(syms []seq.Symbol) Verdict {

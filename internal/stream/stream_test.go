@@ -2,6 +2,8 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -285,6 +287,34 @@ func TestResumeFromPersistedBundle(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadEstimatorParams: New checks the cluster trees'
+// configuration, so an estimator parameter no tree accepts fails
+// construction instead of panicking on the first Ingest, under the
+// engine mutex.
+func TestNewRejectsBadEstimatorParams(t *testing.T) {
+	alphabet := seq.MustAlphabet("abcd")
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+	}{
+		{"PMin 0.5", func(c *Config) { c.PMin = 0.5 }},
+		{"PMin NaN", func(c *Config) { c.PMin = math.NaN() }},
+		{"Shrinkage +Inf", func(c *Config) { c.Shrinkage = math.Inf(1) }},
+		{"Shrinkage NaN", func(c *Config) { c.Shrinkage = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := streamTestConfig(t, alphabet)
+			tc.mod(&cfg)
+			e, err := New(cfg)
+			if err == nil {
+				defer e.Close()
+				v := e.IngestString("abababab")
+				t.Fatalf("New accepted the config; the first ingest returned %+v", v)
+			}
+		})
+	}
+}
+
 // TestResumeRejectsUnusableBundles: treeless and mismatched snapshots
 // must be refused at construction, not half-adopted.
 func TestResumeRejectsUnusableBundles(t *testing.T) {
@@ -349,40 +379,48 @@ func modelBytes(t *testing.T, e *Engine) []byte {
 	return buf.Bytes()
 }
 
+// TestDeterminismAcrossWorkers replays one stream at Workers 1 and 8,
+// with and without shrinkage (whose compiles, like the others, run in
+// the consolidation's compile fan-out), and requires the same verdicts,
+// final models and stats.
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	db, order := syntheticStream(t, 300)
+	for _, shrinkage := range []float64{0, 8} {
+		t.Run(fmt.Sprintf("shrinkage%v", shrinkage), func(t *testing.T) {
+			run := func(workers int) ([]byte, []Verdict, Stats) {
+				cfg := streamTestConfig(t, db.Alphabet)
+				cfg.Workers = workers
+				cfg.Shrinkage = shrinkage
+				e, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				verdicts := make([]Verdict, 0, len(order))
+				for _, i := range order {
+					verdicts = append(verdicts, e.Ingest(db.Sequences[i].Symbols))
+				}
+				e.ConsolidateNow()
+				return modelBytes(t, e), verdicts, e.Stats()
+			}
 
-	run := func(workers int) ([]byte, []Verdict, Stats) {
-		cfg := streamTestConfig(t, db.Alphabet)
-		cfg.Workers = workers
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		verdicts := make([]Verdict, 0, len(order))
-		for _, i := range order {
-			verdicts = append(verdicts, e.Ingest(db.Sequences[i].Symbols))
-		}
-		e.ConsolidateNow()
-		return modelBytes(t, e), verdicts, e.Stats()
-	}
-
-	m1, v1, s1 := run(1)
-	m8, v8, s8 := run(8)
-	if !bytes.Equal(m1, m8) {
-		t.Fatalf("final models differ between Workers=1 (%d bytes) and Workers=8 (%d bytes)", len(m1), len(m8))
-	}
-	for i := range v1 {
-		if v1[i] != v8[i] {
-			t.Fatalf("verdict %d differs: %+v vs %+v", i, v1[i], v8[i])
-		}
-	}
-	if s1.Clusters != s8.Clusters || s1.Accepted != s8.Accepted ||
-		s1.NewClusters != s8.NewClusters || s1.Rejected != s8.Rejected ||
-		s1.Merges != s8.Merges || s1.Dissolves != s8.Dissolves ||
-		s1.Threshold != s8.Threshold || s1.PSTNodes != s8.PSTNodes {
-		t.Fatalf("stats differ: %+v vs %+v", s1, s8)
+			m1, v1, s1 := run(1)
+			m8, v8, s8 := run(8)
+			if !bytes.Equal(m1, m8) {
+				t.Fatalf("final models differ between Workers=1 (%d bytes) and Workers=8 (%d bytes)", len(m1), len(m8))
+			}
+			for i := range v1 {
+				if v1[i] != v8[i] {
+					t.Fatalf("verdict %d differs: %+v vs %+v", i, v1[i], v8[i])
+				}
+			}
+			if s1.Clusters != s8.Clusters || s1.Accepted != s8.Accepted ||
+				s1.NewClusters != s8.NewClusters || s1.Rejected != s8.Rejected ||
+				s1.Merges != s8.Merges || s1.Dissolves != s8.Dissolves ||
+				s1.Threshold != s8.Threshold || s1.PSTNodes != s8.PSTNodes {
+				t.Fatalf("stats differ: %+v vs %+v", s1, s8)
+			}
+		})
 	}
 }
 
