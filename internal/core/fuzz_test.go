@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"cluseq/internal/pst"
@@ -16,11 +17,16 @@ import (
 //     property the registry's fingerprint-based hot reload relies on),
 //     and the loaded copy must classify identically;
 //   - backward: LoadClassifier on an arbitrarily mutated or truncated
-//     bundle — the fresh v3 one and the legacy v2 fixture — must return
-//     an error or a valid classifier: never panic, and never allocate
-//     proportionally to a corrupt size field.
+//     bundle — the fresh v3 one, the legacy v2 fixture and the legacy v3
+//     fixture of descend arenas — must return an error or a valid
+//     classifier: never panic, and never allocate proportionally to a
+//     corrupt size field.
 func FuzzClassifierBundle(f *testing.F) {
 	_, v2 := v2Fixture(f)
+	descend, err := os.ReadFile(legacyDescendPath)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte("abcabcabcabc"), []byte("dddddddd"), uint8(4), uint16(0), byte(0))
 	f.Add([]byte{0, 1, 2, 3, 0xFF, 3, 2, 1, 0}, []byte{1, 1, 2, 2}, uint8(6), uint16(77), byte(0x10))
 	f.Add([]byte{7, 7, 7}, []byte{}, uint8(2), uint16(2000), byte(0xFF))
@@ -80,7 +86,7 @@ func FuzzClassifierBundle(f *testing.F) {
 		}
 
 		// Mutate one byte (and also truncate) — Load must never panic.
-		for _, data := range [][]byte{b1.Bytes(), v2} {
+		for _, data := range [][]byte{b1.Bytes(), v2, descend} {
 			pos := int(mutPos) % len(data)
 			mutated := append([]byte(nil), data...)
 			mutated[pos] ^= mutXor

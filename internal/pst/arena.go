@@ -16,7 +16,8 @@ package pst
 //
 //	offset 0: 64-byte fixed header
 //	  [0:4)   magic "PSA3"
-//	  [4:8)   flags (bit 0 descend; bit 1 legacy delegate, read only)
+//	  [4:8)   flags (bit 0 legacy descend, bit 1 legacy delegate; both
+//	          read only)
 //	  [8:12)  alphabet size n
 //	  [12:16) numNodes
 //	  [16:20) rows (prediction rows)
@@ -40,22 +41,30 @@ package pst
 //	background n float64        the distribution the ratios were folded with
 //	nodeTrans  numNodes uint32  per-node transition row: bit 31 set = dense
 //	                            row id, clear = CSR row id
-//	parent     numNodes int32   BFS parent, the CSR miss fallback chain
+//	parent     numNodes int32   tree parent (an earlier node), the CSR
+//	                            miss fallback chain
 //	row        numNodes int32   prediction row of the node's deepest
-//	                            significant ancestor-or-self (under
-//	                            shrinkage, the node's own row)
+//	                            significant real ancestor-or-self (under
+//	                            shrinkage, of its deepest real one)
 //	denseTrans denseRows·n i32  full transition rows (fallback resolved)
 //	csrStart   csrRows+1 uint32 CSR row extents into csrSym/csrDst
 //	csrDst     csrEdges int32   CSR transition targets
 //	csrSym     csrEdges uint16  CSR symbols, sorted per row
-//	childStart numNodes+1 int32 descend mode only: child-edge extents
-//	childDst   childEdges int32 descend mode only: child targets
-//	childSym   childEdges u16   descend mode only: child edge symbols
+//	childStart numNodes+1 int32 legacy descend only: child-edge extents
+//	childDst   childEdges int32 legacy descend only: child targets
+//	childSym   childEdges u16   legacy descend only: child edge symbols
 //
-// nodeTrans/parent/denseTrans/csr* are present only in automaton mode
-// (descend flag clear); childStart/childDst/childSym only in descend
-// mode. A shrinkage tree compiles like any other, with rows = numNodes.
-// Flag bit 1 alone marks a legacy delegate arena (see ErrArenaDelegates).
+// numNodes counts the tree's nodes in breadth-first order, then the
+// virtual nodes that close a pruned tree under suffix links (see
+// Snapshot); rows counts the real nodes' score rows only. A shrinkage
+// tree compiles like any other, with one row per real node.
+//
+// CompileSnapshot writes no flags. Two layouts older writers produced
+// still load: flag bit 0 marks a descend arena — a pruned tree compiled
+// for root-down descent, with the child sections in place of
+// nodeTrans/parent/denseTrans/csr* — which SnapshotFromArena converts
+// to the layout above; flag bit 1 alone marks a delegate arena (see
+// ErrArenaDelegates).
 
 import (
 	"encoding/binary"
@@ -72,7 +81,7 @@ const (
 	arenaHeaderLen = 64
 	arenaAlign     = 64
 
-	arenaFlagDescend  = 1 << 0
+	arenaFlagDescend  = 1 << 0 // legacy, read only
 	arenaFlagDelegate = 1 << 1 // legacy, read only
 )
 
@@ -390,8 +399,6 @@ func (s *Snapshot) attach(arena []byte, h *arenaHeader) {
 	sec := func(i int) []byte { return arena[offs[i]:] }
 	s.arena = arena
 	s.n = int(h.n)
-	s.maxDepth = int(h.maxDepth)
-	s.descend = h.descend()
 	s.logRatio = viewF64s(sec(secLogRatio), secs[secLogRatio][1])
 	s.background = viewF64s(sec(secBackground), secs[secBackground][1])
 	s.nodeTrans = viewU32s[uint32](sec(secNodeTrans), secs[secNodeTrans][1])
@@ -401,9 +408,6 @@ func (s *Snapshot) attach(arena []byte, h *arenaHeader) {
 	s.csrStart = viewU32s[uint32](sec(secCsrStart), secs[secCsrStart][1])
 	s.csrDst = viewU32s[int32](sec(secCsrDst), secs[secCsrDst][1])
 	s.csrSym = viewU16s[seq.Symbol](sec(secCsrSym), secs[secCsrSym][1])
-	s.childStart = viewU32s[int32](sec(secChildStart), secs[secChildStart][1])
-	s.childDst = viewU32s[int32](sec(secChildDst), secs[secChildDst][1])
-	s.childSym = viewU16s[seq.Symbol](sec(secChildSym), secs[secChildSym][1])
 }
 
 // SnapshotFromArena reconstructs a snapshot from a serialized arena —
@@ -412,16 +416,21 @@ func (s *Snapshot) attach(arena []byte, h *arenaHeader) {
 // snapshot's tables are zero-copy views into data, which therefore must
 // stay immutable (and mapped) for the snapshot's lifetime; the loader
 // performs no allocation proportional to the declared sizes beyond the
-// validation arithmetic. A legacy delegate arena yields
-// ErrArenaDelegates as soon as its header decodes.
+// validation arithmetic. A legacy descend arena is converted instead:
+// the snapshot owns a fresh automaton arena, the one CompileSnapshot
+// writes for the same tree, and does not alias data. A legacy delegate
+// arena yields ErrArenaDelegates as soon as its header decodes.
 //
 // owner, if non-nil, is retained for the snapshot's lifetime — pass
 // whatever keeps data's bytes valid (the mmap'd file region), so the
 // mapping cannot be unmapped while any reader still holds the
 // snapshot.
 //
-// Every validation failure names the header field or section at fault,
-// and the CRC-32C over the payload rejects silent corruption.
+// Every validation failure names the header field or section at fault.
+// The CRC-32C over the payload rejects silent corruption, and after it
+// every index the scan follows is checked against its table, so an
+// arena whose checksum was recomputed over corrupt tables is rejected
+// too rather than crashing or hanging the scan.
 func SnapshotFromArena(data []byte, owner any) (*Snapshot, error) {
 	h, err := decodeArenaHeader(data)
 	if err != nil {
@@ -450,8 +459,121 @@ func SnapshotFromArena(data []byte, owner any) (*Snapshot, error) {
 		// realign with one copy rather than failing.
 		data = append(alignedBytes(0), data...)
 	}
+	if h.descend() {
+		return fromDescendArena(data, &h)
+	}
 	s := &Snapshot{backing: owner}
 	s.attach(data, &h)
+	if err := s.checkIndices(&h); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// checkIndices rejects tables that point outside themselves: a
+// transition target, parent, score row, row id or symbol out of range,
+// a CSR extent out of order, or a parent that does not precede its
+// child — the one rule that makes every CSR miss climb end at the dense
+// root. The CRC pass has just read every byte, so on an mmap'd bundle
+// these loops fault in no new pages.
+func (s *Snapshot) checkIndices(h *arenaHeader) error {
+	num := h.numNodes
+	if s.nodeTrans[0] < denseFlag {
+		return fmt.Errorf("pst: arena section nodeTrans: the root row is not dense")
+	}
+	for i, tr := range s.nodeTrans {
+		if tr >= denseFlag && tr-denseFlag >= h.denseRows || tr < denseFlag && tr >= h.csrRows {
+			return fmt.Errorf("pst: arena section nodeTrans: node %d selects row %#x, out of range", i, tr)
+		}
+	}
+	for i, p := range s.parent[1:] {
+		if uint32(p) > uint32(i) {
+			return fmt.Errorf("pst: arena section parent: node %d has parent %d, not an earlier node", i+1, p)
+		}
+	}
+	for i, r := range s.row {
+		if uint32(r) >= h.rows {
+			return fmt.Errorf("pst: arena section row: node %d scores with row %d of %d", i, r, h.rows)
+		}
+	}
+	for i, d := range s.denseTrans {
+		if uint32(d) >= num {
+			return fmt.Errorf("pst: arena section denseTrans: entry %d targets node %d of %d", i, d, num)
+		}
+	}
+	for i := range s.csrStart[1:] {
+		if s.csrStart[i+1] < s.csrStart[i] {
+			return fmt.Errorf("pst: arena section csrStart: row %d ends before it starts", i)
+		}
+	}
+	if last := s.csrStart[h.csrRows]; last != h.csrEdges {
+		return fmt.Errorf("pst: arena section csrStart: rows end at edge %d, section csrDst holds %d", last, h.csrEdges)
+	}
+	for i, d := range s.csrDst {
+		if uint32(d) >= num {
+			return fmt.Errorf("pst: arena section csrDst: edge %d targets node %d of %d", i, d, num)
+		}
+	}
+	for i, sym := range s.csrSym {
+		if uint32(sym) >= h.n {
+			return fmt.Errorf("pst: arena section csrSym: edge %d has symbol %d, alphabet %d", i, sym, h.n)
+		}
+	}
+	return nil
+}
+
+// fromDescendArena converts a legacy descend arena, written for trees
+// pruned out of suffix-link closure before the compiler closed them.
+// Its child sections and rows already are the flat tree, so after the
+// same kind of index checks it compiles through CompileSnapshot's own
+// builder into a fresh automaton arena, its closure bounded as for a
+// loaded tree.
+func fromDescendArena(data []byte, h *arenaHeader) (*Snapshot, error) {
+	offs, _ := h.offsets()
+	secs := h.sections()
+	view32 := func(i int) []int32 { return viewU32s[int32](data[offs[i]:], secs[i][1]) }
+	num, edges := int32(h.numNodes), int32(h.childEdges)
+	childStart, childDst := view32(secChildStart), view32(secChildDst)
+	childSym := viewU16s[seq.Symbol](data[offs[secChildSym]:], secs[secChildSym][1])
+	f := &flatTree{
+		n:          int(h.n),
+		maxDepth:   int(h.maxDepth),
+		parent:     make([]int32, num),
+		edge:       make([]seq.Symbol, num),
+		childStart: childStart,
+		row:        view32(secRow),
+		logRatio:   viewF64s(data[offs[secLogRatio]:], secs[secLogRatio][1]),
+		background: viewF64s(data[offs[secBackground]:], secs[secBackground][1]),
+	}
+	if childStart[0] != 0 || childStart[num] != edges {
+		return nil, fmt.Errorf("pst: arena section childStart: extents run from %d to %d, want 0 to %d", childStart[0], childStart[num], edges)
+	}
+	for i := int32(0); i < num; i++ {
+		lo, hi := childStart[i], childStart[i+1]
+		if hi < lo || hi > edges {
+			return nil, fmt.Errorf("pst: arena section childStart: node %d spans edges [%d, %d) of %d", i, lo, hi, edges)
+		}
+		for j := lo; j < hi; j++ {
+			if childDst[j] != j+1 || j+1 <= i {
+				return nil, fmt.Errorf("pst: arena section childDst: edge %d of node %d targets node %d, not the next node in breadth-first order", j, i, childDst[j])
+			}
+			if uint32(childSym[j]) >= h.n || j > lo && childSym[j] <= childSym[j-1] {
+				return nil, fmt.Errorf("pst: arena section childSym: children of node %d are not ascending symbols below %d", i, h.n)
+			}
+			f.parent[j+1], f.edge[j+1] = i, childSym[j]
+		}
+	}
+	for i, r := range f.row {
+		if uint32(r) >= h.rows {
+			return nil, fmt.Errorf("pst: arena section row: node %d scores with row %d of %d", i, r, h.rows)
+		}
+	}
+	arena, hh, err := f.automaton(closureLimit(int(num), f.maxDepth))
+	if err != nil {
+		return nil, fmt.Errorf("pst: legacy descend arena: %w", err)
+	}
+	s := &Snapshot{}
+	s.attach(arena, &hh)
 	return s, nil
 }
 

@@ -1,20 +1,25 @@
 package pst
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"cluseq/internal/seq"
 )
 
 // buildArenaTree grows a deterministic tree plus probes for arena
-// round-trip tests.
+// round-trip tests. Pruning evicts by expected vector, which takes
+// interior suffix contexts out of this tree, so its automaton needs
+// virtual nodes.
 func buildArenaTree(alpha, inserts, seqLen int, prune bool) (*Tree, [][]seq.Symbol, []float64) {
 	rng := rand.New(rand.NewPCG(71, 72))
-	tree := MustNew(Config{AlphabetSize: alpha, MaxDepth: 5, Significance: 3, PMin: 0.2 / float64(alpha)})
+	tree := MustNew(Config{AlphabetSize: alpha, MaxDepth: 5, Significance: 3, PMin: 0.2 / float64(alpha), Prune: PruneExpectedVector})
 	for i := 0; i < inserts; i++ {
 		tree.Insert(randomSymbols(rng, seqLen, alpha))
 	}
@@ -43,15 +48,14 @@ func reattach(t *testing.T, snap *Snapshot) *Snapshot {
 
 // TestArenaRoundTrip pins the central zero-copy property: the arena
 // bytes alone reconstruct a snapshot that answers bit-identically, in
-// every transition-row mix and in descend mode.
+// every transition-row mix, for closed trees and for a pruned tree
+// whose automaton needs virtual nodes.
 func TestArenaRoundTrip(t *testing.T) {
 	run := func(t *testing.T, prune bool) {
 		tree, probes, bg := buildArenaTree(6, 3, 120, prune)
 		snap := tree.CompileSnapshot(bg)
-		if prune != snap.descend && tree.NumNodes() > 4 {
-			// Pruning usually breaks slink closure; if this seed kept it
-			// closed the automaton assertions below still hold.
-			t.Logf("prune=%v descend=%v", prune, snap.descend)
+		if virtual := requireVirtualRows(t, tree, snap); (virtual > 0) != prune {
+			t.Fatalf("prune=%v compiled %d virtual nodes", prune, virtual)
 		}
 		loaded := reattach(t, snap)
 		if loaded.Tree() != nil {
@@ -77,7 +81,7 @@ func TestArenaRoundTrip(t *testing.T) {
 			denseOccupancy, denseAllLimit = mode.occupancy, mode.allLimit
 			defer func() { denseOccupancy, denseAllLimit = oldOcc, oldAll }()
 			t.Run("automaton", func(t *testing.T) { run(t, false) })
-			t.Run("descend", func(t *testing.T) { run(t, true) })
+			t.Run("pruned", func(t *testing.T) { run(t, true) })
 		})
 	}
 }
@@ -114,53 +118,240 @@ func TestArenaDelegateRejected(t *testing.T) {
 
 // TestArenaCorruptionRejected drives truncated, bit-flipped, and
 // header-mangled arenas through the loader: every one must fail before
-// any table is trusted, with an error naming the culprit.
+// any table is trusted, with an error naming the culprit. An arena whose
+// checksum was recomputed over corrupt tables passes the CRC, so the
+// loader must also check every index the scan follows — unchecked, an
+// out-of-range transition panics the scan and a parent cycle hangs it —
+// and, in a legacy descend arena, the breadth-first child layout. A
+// corrupt arena that loads anyway is scanned under a deadline to show
+// what it would do.
 func TestArenaCorruptionRejected(t *testing.T) {
-	tree, _, bg := buildArenaTree(5, 2, 150, false)
-	good := tree.CompileSnapshot(bg).Arena()
+	closed, _, bg := buildArenaTree(5, 2, 150, false)
+	pruned, probes, _ := buildArenaTree(5, 2, 150, true)
+	good := closed.CompileSnapshot(bg).Arena()
+	dense := pruned.CompileSnapshot(bg).Arena() // small: every row dense
+	csr := compileWith(pruned, bg, 0, 0)        // every row but the root CSR
+	legacy := descendArena(pruned, bg)
+	h, _ := decodeArenaHeader(csr)
 
-	mutate := func(f func(b []byte) []byte) []byte {
-		return f(append([]byte(nil), good...))
-	}
 	le := binary.LittleEndian
-	reseal := func(b []byte) []byte {
-		// Recompute the payload CRC so the mutation under test — not the
-		// checksum — is what the loader has to catch.
-		le.PutUint32(b[48:52], crc32.Checksum(b[arenaHeaderLen:], castagnoli))
-		return b
+	fill32 := func(b []byte, v uint32) {
+		for i := 0; i+4 <= len(b); i += 4 {
+			le.PutUint32(b[i:], v)
+		}
 	}
 	cases := []struct {
-		name string
-		data []byte
+		name   string
+		base   []byte
+		mutate func(b []byte) []byte // returns the bytes to load
 	}{
-		{"empty", nil},
-		{"short header", good[:arenaHeaderLen-1]},
-		{"bad magic", mutate(func(b []byte) []byte { b[0] = 'X'; return b })},
-		{"truncated payload", good[:len(good)-arenaAlign]},
-		{"payload bit flip", mutate(func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b })},
-		{"header crc mismatch", mutate(func(b []byte) []byte { b[49] ^= 0xFF; return b })},
-		{"unknown flags", mutate(func(b []byte) []byte { le.PutUint32(b[4:8], 0xF0); return reseal(b) })},
-		{"zero alphabet", mutate(func(b []byte) []byte { le.PutUint32(b[8:12], 0); return reseal(b) })},
-		{"zero nodes", mutate(func(b []byte) []byte { le.PutUint32(b[12:16], 0); return reseal(b) })},
-		{"rows exceed nodes", mutate(func(b []byte) []byte { le.PutUint32(b[16:20], 1<<30); return reseal(b) })},
-		{"row split mismatch", mutate(func(b []byte) []byte { le.PutUint32(b[24:28], le.Uint32(b[24:28])+1); return reseal(b) })},
-		{"edges exceed nodes", mutate(func(b []byte) []byte { le.PutUint32(b[28:32], 1<<29); return reseal(b) })},
-		{"declared length mismatch", mutate(func(b []byte) []byte { le.PutUint64(b[40:48], uint64(len(b))+64); return reseal(b) })},
-		{"absurd length", mutate(func(b []byte) []byte { le.PutUint64(b[40:48], 1<<60); return reseal(b) })},
+		{"empty", good, func(b []byte) []byte { return nil }},
+		{"short header", good, func(b []byte) []byte { return b[:arenaHeaderLen-1] }},
+		{"bad magic", good, func(b []byte) []byte { b[0] = 'X'; return b }},
+		{"truncated payload", good, func(b []byte) []byte { return b[:len(b)-arenaAlign] }},
+		{"payload bit flip", good, func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }},
+		{"header crc mismatch", good, func(b []byte) []byte { b[49] ^= 0xFF; return b }},
+		{"unknown flags", good, func(b []byte) []byte { le.PutUint32(b[4:8], 0xF0); return reseal(b) }},
+		{"zero alphabet", good, func(b []byte) []byte { le.PutUint32(b[8:12], 0); return reseal(b) }},
+		{"zero nodes", good, func(b []byte) []byte { le.PutUint32(b[12:16], 0); return reseal(b) }},
+		{"rows exceed nodes", good, func(b []byte) []byte { le.PutUint32(b[16:20], 1<<30); return reseal(b) }},
+		{"row split mismatch", good, func(b []byte) []byte { le.PutUint32(b[24:28], le.Uint32(b[24:28])+1); return reseal(b) }},
+		{"edges exceed nodes", good, func(b []byte) []byte { le.PutUint32(b[28:32], 1<<29); return reseal(b) }},
+		{"declared length mismatch", good, func(b []byte) []byte { le.PutUint64(b[40:48], uint64(len(b))+64); return reseal(b) }},
+		{"absurd length", good, func(b []byte) []byte { le.PutUint64(b[40:48], 1<<60); return reseal(b) }},
+
+		{"dense targets out of range", dense, func(b []byte) []byte { fill32(section(b, secDenseTrans), 1<<20); return reseal(b) }},
+		{"parent cycle", csr, func(b []byte) []byte {
+			p := section(b, secParent)
+			for i := 0; i < len(p)/4; i++ {
+				le.PutUint32(p[4*i:], uint32(i))
+			}
+			return reseal(b)
+		}},
+		{"row out of range", csr, func(b []byte) []byte { le.PutUint32(section(b, secRow)[4:], h.rows); return reseal(b) }},
+		{"dense row id out of range", dense, func(b []byte) []byte {
+			le.PutUint32(section(b, secNodeTrans)[4:], denseFlag|h.numNodes)
+			return reseal(b)
+		}},
+		{"CSR row id out of range", csr, func(b []byte) []byte { le.PutUint32(section(b, secNodeTrans)[4:], h.csrRows); return reseal(b) }},
+		{"root row CSR", csr, func(b []byte) []byte { le.PutUint32(section(b, secNodeTrans), 0); return reseal(b) }},
+		{"CSR extents decrease", csr, func(b []byte) []byte { le.PutUint32(section(b, secCsrStart)[4:], h.csrEdges+1); return reseal(b) }},
+		{"CSR extents overrun", csr, func(b []byte) []byte {
+			le.PutUint32(section(b, secCsrStart)[4*h.csrRows:], h.csrEdges+1)
+			return reseal(b)
+		}},
+		{"CSR targets out of range", csr, func(b []byte) []byte { fill32(section(b, secCsrDst), h.numNodes); return reseal(b) }},
+		{"CSR symbol out of range", csr, func(b []byte) []byte { le.PutUint16(section(b, secCsrSym), uint16(h.n)); return reseal(b) }},
+
+		{"descend child out of breadth-first order", legacy, func(b []byte) []byte { le.PutUint32(section(b, secChildDst), 2); return reseal(b) }},
+		{"descend children not ascending", legacy, func(b []byte) []byte {
+			copy(section(b, secChildSym)[2:4], section(b, secChildSym)[0:2])
+			return reseal(b)
+		}},
+		{"descend child symbol out of range", legacy, func(b []byte) []byte { le.PutUint16(section(b, secChildSym), uint16(h.n)); return reseal(b) }},
+		{"descend extents start past 0", legacy, func(b []byte) []byte { le.PutUint32(section(b, secChildStart), 1); return reseal(b) }},
+		{"descend extents decrease", legacy, func(b []byte) []byte { le.PutUint32(section(b, secChildStart)[4:], 1<<20); return reseal(b) }},
+		{"descend node below itself", legacy, func(b []byte) []byte { le.PutUint32(section(b, secChildStart)[4:], 0); return reseal(b) }},
+		{"descend row out of range", legacy, func(b []byte) []byte { le.PutUint32(section(b, secRow)[4:], 1<<20); return reseal(b) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := SnapshotFromArena(tc.data, nil); err == nil {
+			s, err := SnapshotFromArena(tc.mutate(append([]byte(nil), tc.base...)), nil)
+			if err == nil {
+				if err := scanWithin(s, probes, 5*time.Second); err != nil {
+					t.Fatalf("corrupt arena loaded, and %v", err)
+				}
 				t.Fatal("corrupt arena must be rejected")
-			} else {
-				t.Logf("rejected: %v", err)
 			}
+			t.Logf("rejected: %v", err)
 		})
 	}
 	// Control: the unmutated bytes still load.
-	if _, err := SnapshotFromArena(append([]byte(nil), good...), nil); err != nil {
-		t.Fatalf("pristine arena must load: %v", err)
+	for _, base := range [][]byte{good, dense, csr, legacy} {
+		if _, err := SnapshotFromArena(append([]byte(nil), base...), nil); err != nil {
+			t.Fatalf("pristine arena must load: %v", err)
+		}
 	}
+}
+
+// reseal recomputes an arena's payload CRC, so the mutation under test
+// — not the checksum — is what the loader has to catch.
+func reseal(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[48:52], crc32.Checksum(b[arenaHeaderLen:], castagnoli))
+	return b
+}
+
+// section returns the bytes of one section of an arena.
+func section(arena []byte, sec int) []byte {
+	h, err := decodeArenaHeader(arena)
+	if err != nil {
+		panic(err)
+	}
+	offs, _ := h.offsets()
+	size := h.sections()[sec]
+	return arena[offs[sec] : offs[sec]+size[0]*size[1]]
+}
+
+// scanWithin scans every probe on a goroutine of its own and reports a
+// panic, or a scan still running after d. A hung scan cannot be
+// stopped, so its goroutine is left behind.
+func scanWithin(s *Snapshot, probes [][]seq.Symbol, d time.Duration) error {
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- fmt.Errorf("the scan panicked: %v", r)
+			}
+		}()
+		for _, p := range probes {
+			s.Similarity(p)
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		return fmt.Errorf("the scan did not return within %v", d)
+	}
+}
+
+// compileWith compiles tree under the given transition-row knobs (see
+// TestSnapshotMatchesTreeRandom) and returns the arena.
+func compileWith(tree *Tree, bg []float64, occupancy, allLimit int) []byte {
+	oldOcc, oldAll := denseOccupancy, denseAllLimit
+	denseOccupancy, denseAllLimit = occupancy, allLimit
+	defer func() { denseOccupancy, denseAllLimit = oldOcc, oldAll }()
+	return tree.CompileSnapshot(bg).Arena()
+}
+
+// descendArena writes tree as a legacy descend arena: flag bit 0, the
+// breadth-first tree's child sections and its score rows, the layout
+// CompileSnapshot wrote for trees out of suffix-link closure until it
+// closed them with virtual nodes.
+func descendArena(tree *Tree, bg []float64) []byte {
+	f := tree.flatten(bg)
+	num := len(f.parent)
+	childDst := make([]int32, num-1)
+	for j := range childDst {
+		childDst[j] = int32(j + 1)
+	}
+	h := arenaHeader{
+		flags:      arenaFlagDescend,
+		n:          uint32(f.n),
+		numNodes:   uint32(num),
+		rows:       uint32(len(f.logRatio) / f.n),
+		childEdges: uint32(num - 1),
+		maxDepth:   uint32(f.maxDepth),
+	}
+	arena, _ := buildArena(h, func(offs [numArenaSections]int64, arena []byte) {
+		putF64s(arena[offs[secLogRatio]:], f.logRatio)
+		putF64s(arena[offs[secBackground]:], f.background)
+		putU32s(arena[offs[secRow]:], f.row)
+		putU32s(arena[offs[secChildStart]:], f.childStart)
+		putU32s(arena[offs[secChildDst]:], childDst)
+		putU16s(arena[offs[secChildSym]:], f.edge[1:])
+	})
+	return arena
+}
+
+// TestDescendArenaConverts: a legacy descend arena loads as exactly the
+// automaton arena CompileSnapshot writes for its tree, virtual nodes
+// included, and scores like the tree.
+func TestDescendArenaConverts(t *testing.T) {
+	tree, probes, bg := buildArenaTree(6, 3, 120, true)
+	legacy := descendArena(tree, bg)
+	got, err := SnapshotFromArena(append([]byte(nil), legacy...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tree.CompileSnapshot(bg).Arena(); !bytes.Equal(got.Arena(), want) {
+		t.Fatalf("descend arena converted to %d bytes that differ from the %d CompileSnapshot writes", len(got.Arena()), len(want))
+	}
+	if requireVirtualRows(t, tree, got) == 0 {
+		t.Fatal("the pruned tree needs no virtual node; the conversion skips the closure")
+	}
+	for _, p := range probes {
+		requireIdentical(t, tree, got, p, bg)
+	}
+}
+
+// FuzzSnapshotArena mutates up to four bytes of one section of an arena
+// — a closed tree's, a pruned tree's with virtual nodes in the hybrid
+// and the all-CSR row mix, or a legacy descend arena — and re-stamps
+// the CRC, so the mutation reaches the loader's table checks. The load
+// must fail, or the loaded snapshot's scan must return.
+func FuzzSnapshotArena(f *testing.F) {
+	closed, _, bg := buildArenaTree(5, 2, 150, false)
+	pruned, probes, _ := buildArenaTree(5, 2, 150, true)
+	arenas := [][]byte{
+		closed.CompileSnapshot(bg).Arena(),
+		compileWith(pruned, bg, 2, 1<<8),
+		compileWith(pruned, bg, 0, 0),
+		descendArena(pruned, bg),
+	}
+	f.Add(uint8(0), uint8(secDenseTrans), uint32(0), uint32(1<<20))
+	f.Add(uint8(2), uint8(secParent), uint32(8), uint32(0xFF))
+	f.Add(uint8(2), uint8(secCsrStart), uint32(4), uint32(0x80))
+	f.Add(uint8(3), uint8(secChildStart), uint32(4), uint32(3))
+	f.Fuzz(func(t *testing.T, which, sec uint8, pos, xor uint32) {
+		b := append([]byte(nil), arenas[int(which)%len(arenas)]...)
+		body := section(b, int(sec)%numArenaSections)
+		if len(body) == 0 {
+			return
+		}
+		at := int(pos % uint32(len(body)))
+		for k := 0; k < 4 && at+k < len(body); k++ {
+			body[at+k] ^= byte(xor >> (8 * k))
+		}
+		s, err := SnapshotFromArena(reseal(b), nil)
+		if err != nil {
+			return
+		}
+		if err := scanWithin(s, probes, 10*time.Second); err != nil {
+			t.Fatalf("mutated arena loaded, and %v", err)
+		}
+	})
 }
 
 // TestArenaMisalignedBaseRealigns: zero-copy views require a naturally
@@ -184,18 +375,20 @@ func TestArenaMisalignedBaseRealigns(t *testing.T) {
 
 // TestSnapshotScanAllocs pins the serving-path contract: a compiled
 // scan performs zero allocations, for both compiled and arena-loaded
-// snapshots.
+// snapshots, of closed trees and of pruned ones with virtual nodes.
 func TestSnapshotScanAllocs(t *testing.T) {
-	tree, probes, bg := buildArenaTree(50, 4, 200, false)
-	snap := tree.CompileSnapshot(bg)
-	loaded := reattach(t, snap)
-	for name, s := range map[string]*Snapshot{"compiled": snap, "arena": loaded} {
-		if got := testing.AllocsPerRun(50, func() {
-			for _, p := range probes {
-				s.Similarity(p)
+	for _, prune := range []bool{false, true} {
+		tree, probes, bg := buildArenaTree(50, 4, 200, prune)
+		snap := tree.CompileSnapshot(bg)
+		loaded := reattach(t, snap)
+		for name, s := range map[string]*Snapshot{"compiled": snap, "arena": loaded} {
+			if got := testing.AllocsPerRun(50, func() {
+				for _, p := range probes {
+					s.Similarity(p)
+				}
+			}); got != 0 {
+				t.Fatalf("%s scan (prune=%v) allocated %.1f times per run, want 0", name, prune, got)
 			}
-		}); got != 0 {
-			t.Fatalf("%s scan allocated %.1f times per run, want 0", name, got)
 		}
 	}
 }

@@ -103,7 +103,11 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// Load reads a tree previously written by Save.
+// Load reads a tree previously written by Save. Besides the stream's
+// own consistency it checks what snapshots rely on: counts monotone
+// along root paths, and a suffix-link closure (see Snapshot) within
+// closureLimit, so that compiling any loaded tree costs memory linear
+// in its size.
 func Load(r io.Reader) (*Tree, error) {
 	br := bufio.NewReader(r)
 	got := make([]byte, len(magic))
@@ -166,6 +170,10 @@ func Load(r io.Reader) (*Tree, error) {
 	t.insertions = insertions
 	t.pruned = pruned
 	if err := t.loadNodes(br, numNodes); err != nil {
+		return nil, err
+	}
+	f, _ := t.layout()
+	if _, err := f.closure(closureLimit(t.numNodes, t.cfg.MaxDepth)); err != nil {
 		return nil, err
 	}
 	return t, nil

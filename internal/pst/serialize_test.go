@@ -433,3 +433,49 @@ func TestLoadRejectsNonMonotoneCount(t *testing.T) {
 		t.Fatalf("end-of-data counts above the root's must load: %v", err)
 	}
 }
+
+// TestLoadRefusesUnclosableTree: a tree that is one random root path,
+// which no Insert grows, closes under suffix links into every substring
+// of its context: about k²/2 nodes for a path of k. Load refuses such a
+// path once its closure passes closureLimit, after linear work; a
+// shorter one loads, and its snapshot, with about 90 virtual nodes per
+// real one, scores like the tree.
+func TestLoadRefusesUnclosableTree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(91, 92))
+	path := func(k int) ([]byte, []seq.Symbol) {
+		tree := MustNew(Config{AlphabetSize: 2, MaxDepth: k, Significance: 1})
+		x := tree.Root()
+		tree.count[x] = int64(k)
+		tree.nextRow(x)[0], tree.nextRow(x)[1] = int64(k/2), int64(k-k/2)
+		context := make([]seq.Symbol, k) // oldest symbol first
+		for d := range k {
+			context[k-1-d] = seq.Symbol(rng.IntN(2))
+			x = tree.ensureChild(x, context[k-1-d])
+			tree.count[x] = 1
+			tree.nextRow(x)[rng.IntN(2)] = 1
+		}
+		var buf bytes.Buffer
+		if err := tree.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), context
+	}
+	long, _ := path(2000)
+	if _, err := Load(bytes.NewReader(long)); err == nil || !strings.Contains(err.Error(), "suffix links") {
+		t.Fatalf("a 2000-node path must be refused for its closure, got %v", err)
+	}
+	short, context := path(200)
+	tree, err := Load(bytes.NewReader(short))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := uniformBg(2)
+	snap := tree.CompileSnapshot(bg)
+	if virtual := requireVirtualRows(t, tree, snap); virtual < 50*tree.NumNodes() {
+		t.Fatalf("the 200-node path closed with only %d virtual nodes", virtual)
+	}
+	requireIdentical(t, tree, snap, append(context, randomSymbols(rng, 50, 2)...), bg)
+	for range 8 {
+		requireIdentical(t, tree, snap, randomSymbols(rng, 1+rng.IntN(400), 2), bg)
+	}
+}

@@ -62,17 +62,19 @@ import (
 // deepest matching node, so it is a function of that node alone, which
 // the compiler evaluates top-down with the tree scan's arithmetic.
 //
-// The O(1)-per-symbol transition automaton has one additional soundness
-// requirement: the tree must be slink-closed — every node's context
-// minus its most recent symbol must itself be a node. Insert maintains
+// The transition automaton needs one more property: the node set must
+// be slink-closed — every node's context minus its most recent symbol
+// must itself be a node — or the deepest match after one more symbol
+// depends on history the current state does not hold. Insert maintains
 // that closure (every context's suffixes are contexts of earlier
 // positions), but pruning can evict a node w while a node w·s survives
-// on another branch; the deepest-match state is then not a function of
-// (previous state, symbol) and no per-node transition table is exact.
-// For such trees the compiler falls back to a bounded-descent mode that
-// replays §3's root-down prediction walk over the compiled child arrays:
-// O(L) per symbol like Tree.Similarity, but still allocation-, lock-
-// and logarithm-free.
+// on another branch. The compiler then closes the flattened tree, as
+// Ron, Singer and Tishby's PST-to-automaton construction does: each
+// missing link target becomes a virtual node, which has no tree slot,
+// is never significant, and takes its parent's score row. The deepest
+// virtual match of a context then scores with the row of its deepest
+// real match — the node the tree scan predicts from — so every tree,
+// pruned or not, compiles the one O(1)-per-symbol automaton.
 //
 // A Snapshot never observes later tree mutations: it copies everything
 // it needs at compile time. Callers detect staleness with Valid, which
@@ -88,12 +90,6 @@ type Snapshot struct {
 	tree    *Tree
 	version uint64
 	n       int // alphabet size
-
-	// descend: the tree is not slink-closed (pruning evicted interior
-	// suffix contexts), so no exact transition automaton exists; scan by
-	// bounded root-down descent over the compiled child arrays instead.
-	descend  bool
-	maxDepth int
 
 	// arena is the one slab every slice below aliases (zero-copy on
 	// little-endian hosts); backing pins whatever owns the slab's bytes
@@ -113,16 +109,10 @@ type Snapshot struct {
 	csrDst     []int32
 	parent     []int32
 
-	// Descent mode: the tree's own child edges (one more context symbol
-	// back in time), sorted per node for binary search.
-	childStart []int32
-	childSym   []seq.Symbol
-	childDst   []int32
-
 	// row[node] indexes the precomputed score row of the node's deepest
-	// significant ancestor-or-self (under shrinkage, the node's own row);
-	// logRatio[row*n + sym] is the fully adjusted ln P̂(sym | ctx) −
-	// ln p(sym) (−Inf for impossible symbols).
+	// significant real ancestor-or-self (under shrinkage, of its deepest
+	// real ancestor-or-self); logRatio[row*n + sym] is the fully
+	// adjusted ln P̂(sym | ctx) − ln p(sym) (−Inf for impossible symbols).
 	row      []int32
 	logRatio []float64
 
@@ -156,59 +146,74 @@ var denseAllLimit = 1 << 20
 // compile — and score — against the old values. Pass a fresh slice for
 // a new distribution.
 func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
-	n := t.cfg.AlphabetSize
-	if len(background) != n {
-		panic(fmt.Sprintf("pst: background distribution has %d entries, alphabet has %d", len(background), n))
+	if len(background) != t.cfg.AlphabetSize {
+		panic(fmt.Sprintf("pst: background distribution has %d entries, alphabet has %d", len(background), t.cfg.AlphabetSize))
+	}
+	arena, h, err := t.flatten(background).automaton(math.MaxInt32)
+	if err != nil {
+		panic(err) // the closed tree would overflow int32 node indices
 	}
 	s := &Snapshot{tree: t, version: t.version}
+	s.attach(arena, &h)
+	s.background = background
+	return s
+}
 
-	// Flatten the tree in breadth-first order, each node's children in
-	// the ascending order of its run: a node's parent always precedes it
-	// (so the recurrences below read parent data that is already final),
-	// sibling order is deterministic, and child lookup becomes a binary
-	// search over one contiguous span.
+// flatTree is a context tree flattened in breadth-first order, with its
+// score rows: what the automaton builder compiles. CompileSnapshot
+// flattens a live tree; SnapshotFromArena reads one from the child
+// sections and rows of a legacy descend arena, which hold these arrays.
+type flatTree struct {
+	n, maxDepth int
+
+	// Node i ≥ 1 hangs below parent[i] < i along edge[i], the oldest
+	// symbol of its context. The children of node i are the nodes
+	// childStart[i]+1 … childStart[i+1], in ascending edge order.
+	parent     []int32
+	edge       []seq.Symbol
+	childStart []int32
+
+	// row[i] indexes node i's score row in logRatio (n entries a row).
+	row        []int32
+	logRatio   []float64
+	background []float64
+}
+
+// layout lays the tree out in breadth-first order, each node's children
+// in the ascending order of its run — a node's parent always precedes it
+// (so every recurrence over parents reads data that is already final),
+// sibling order is deterministic, and child lookup is a binary search
+// over one contiguous span. It returns the structure, without score
+// rows, and each compiled index's tree slot.
+func (t *Tree) layout() (*flatTree, []Slot) {
 	num := t.numNodes
-	nodes := make([]Slot, 0, num) // compiled index → tree slot
-	parent := make([]int32, num)
-	edge := make([]seq.Symbol, num)
-	first := make([]seq.Symbol, num) // most recent context symbol (root edge of the path)
-	childStart := make([]int32, num+1)
-	childSym := make([]seq.Symbol, 0, num-1)
-	childDst := make([]int32, 0, num-1)
-	nodes = append(nodes, t.Root())
+	f := &flatTree{
+		n:          t.cfg.AlphabetSize,
+		maxDepth:   t.cfg.MaxDepth,
+		parent:     make([]int32, num),
+		edge:       make([]seq.Symbol, num),
+		childStart: make([]int32, num+1),
+	}
+	nodes := append(make([]Slot, 0, num), t.Root())
 	for head := 0; head < len(nodes); head++ {
-		childStart[head] = int32(len(childSym))
+		f.childStart[head] = int32(len(nodes) - 1)
 		syms, slots := t.kids(nodes[head])
 		for j, sym := range syms {
-			ci := int32(len(nodes))
+			f.parent[len(nodes)] = int32(head)
+			f.edge[len(nodes)] = sym
 			nodes = append(nodes, Slot(slots[j]))
-			parent[ci] = int32(head)
-			edge[ci] = sym
-			if head == 0 {
-				first[ci] = sym
-			} else {
-				first[ci] = first[head]
-			}
-			childSym = append(childSym, sym)
-			childDst = append(childDst, ci)
 		}
 	}
-	childStart[num] = int32(len(childSym))
-	childAt := func(cur int32, sym seq.Symbol) int32 {
-		lo, hi := childStart[cur], childStart[cur+1]
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if childSym[mid] < sym {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < childStart[cur+1] && childSym[lo] == sym {
-			return childDst[lo]
-		}
-		return -1
-	}
+	f.childStart[num] = int32(num - 1)
+	return f, nodes
+}
+
+// flatten lays the tree out and computes its score rows.
+func (t *Tree) flatten(background []float64) *flatTree {
+	f, nodes := t.layout()
+	n, num := f.n, len(nodes)
+	f.row = make([]int32, num)
+	f.background = background
 
 	// Score rows: one per prediction-capable node (root + significant
 	// nodes); every other node inherits the row of its deepest
@@ -218,104 +223,113 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 	// then Log minus the background log — so the compiled values are
 	// bit-identical to what Tree.Similarity computes per symbol.
 	logBg := t.logBackground(background)
-	row := make([]int32, num)
-	rows := 0
-	var logRatio []float64
+	ratio := func(p float64, sym int) float64 {
+		if p <= 0 {
+			return math.Inf(-1)
+		}
+		return math.Log(p) - logBg[sym]
+	}
+	row := f.row
 	if kappa := t.cfg.Shrinkage; kappa > 0 {
 		// Every node scores with its own row, predictShrunk's blend down
 		// to it; BFS order blends a parent's raw row before its children.
-		rows = num
-		logRatio = make([]float64, num*n)
+		f.logRatio = make([]float64, num*n)
 		for sym := range n {
-			logRatio[sym] = t.prob(nodes[0], seq.Symbol(sym))
+			f.logRatio[sym] = t.prob(nodes[0], seq.Symbol(sym))
 		}
 		for i := 1; i < num; i++ {
 			row[i] = int32(i)
-			x, base, pbase := nodes[i], i*n, int(parent[i])*n
+			x, base, pbase := nodes[i], i*n, int(f.parent[i])*n
 			for sym, next := range t.nextRow(x) {
-				logRatio[base+sym] = shrink(next, t.count[x], kappa, logRatio[pbase+sym])
+				f.logRatio[base+sym] = shrink(next, t.count[x], kappa, f.logRatio[pbase+sym])
 			}
 		}
-		for base := 0; base < len(logRatio); base += n {
-			for sym, b := range logRatio[base : base+n] {
-				if p := t.adjust(b); p <= 0 {
-					logRatio[base+sym] = math.Inf(-1)
-				} else {
-					logRatio[base+sym] = math.Log(p) - logBg[sym]
-				}
+		for base := 0; base < len(f.logRatio); base += n {
+			for sym, b := range f.logRatio[base : base+n] {
+				f.logRatio[base+sym] = ratio(t.adjust(b), sym)
 			}
 		}
-	} else {
-		for i, x := range nodes {
-			if t.Significant(x) {
-				row[i] = int32(rows)
-				rows++
-			} else {
-				row[i] = row[parent[i]]
+		return f
+	}
+	rows := 0
+	for i, x := range nodes {
+		if t.Significant(x) {
+			row[i] = int32(rows)
+			rows++
+		} else {
+			row[i] = row[f.parent[i]]
+		}
+	}
+	// Most entries of a row have next count 0, so they share one
+	// probability, adjust(0): take its logarithm once per compile.
+	zero := make([]float64, n)
+	for sym := range zero {
+		zero[sym] = ratio(t.adjust(0), sym)
+	}
+	f.logRatio = make([]float64, rows*n)
+	for i, x := range nodes {
+		if !t.Significant(x) {
+			continue
+		}
+		dst := f.logRatio[int(row[i])*n:][:n]
+		copy(dst, zero)
+		for sym, next := range t.nextRow(x) {
+			if next != 0 {
+				dst[sym] = ratio(t.adjust(t.prob(x, seq.Symbol(sym))), sym)
 			}
 		}
-		logRatio = make([]float64, rows*n)
-		for i, x := range nodes {
-			if !t.Significant(x) {
-				continue
-			}
-			base := int(row[i]) * n
-			for sym := 0; sym < n; sym++ {
-				p := t.adjust(t.prob(x, seq.Symbol(sym)))
-				if p <= 0 {
-					logRatio[base+sym] = math.Inf(-1)
-				} else {
-					logRatio[base+sym] = math.Log(p) - logBg[sym]
-				}
-			}
+	}
+	return f
+}
+
+// child returns the index of cur's child along edge symbol sym, or −1.
+func (f *flatTree) child(cur int32, sym seq.Symbol) int32 {
+	lo, hi := f.childStart[cur]+1, f.childStart[cur+1]+1
+	end := hi
+	for lo < hi {
+		mid := int32(uint32(lo+hi) >> 1)
+		if f.edge[mid] < sym {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	if lo < end && f.edge[lo] == sym {
+		return lo
+	}
+	return -1
+}
+
+// automaton compiles the flat tree into a snapshot arena: the suffix-
+// link transition automaton over the tree closed under suffix links,
+// with the tree's score rows. A closure that would hold more than limit
+// nodes fails instead.
+func (f *flatTree) automaton(limit int) ([]byte, arenaHeader, error) {
+	n, numReal := f.n, len(f.parent)
+	sl, err := f.closure(limit)
+	if err != nil {
+		return nil, arenaHeader{}, err
+	}
+	parent, edge := f.parent, f.edge
+	num := len(parent)
+	// A virtual node takes its parent's score row, so by induction it
+	// scores with the row of its deepest real ancestor — the deepest real
+	// match of any context whose deepest match it is. f.row may view a
+	// loaded arena: clip it, so the appends copy.
+	row := f.row[:numReal:numReal]
+	for v := numReal; v < num; v++ {
+		row = append(row, row[parent[v]])
 	}
 
-	// Suffix links, computed from structure alone: sl[x] is the node
-	// for x's context minus its most recent symbol, by the recurrence
-	// sl[x] = child(sl[parent[x]], edge[x]).
-	//
-	// The links double as the slink-closure check. Every depth ≥ 1 node
-	// y is the full extension (one more recent symbol) of exactly one
-	// candidate node — sl[y] — so the transition automaton below is
-	// exact iff every sl resolves. A miss means pruning evicted an
-	// interior suffix context: the deepest match then depends on history
-	// beyond the current automaton state and no per-node transition
-	// table is exact, so the snapshot keeps the child arrays and scans
-	// by bounded descent instead.
-	sl := make([]int32, num)
-	closed := true
-	for i := 1; i < num && closed; i++ {
-		if t.depth[nodes[i]] == 1 {
-			continue // sl = root
+	// first[y] is y's most recent context symbol, the root edge of its
+	// path: y extends sl[y] by first[y].
+	first := make([]seq.Symbol, num)
+	for y := 1; y < num; y++ {
+		if parent[y] == 0 {
+			first[y] = edge[y]
+		} else {
+			first[y] = first[parent[y]]
 		}
-		target := childAt(sl[parent[i]], edge[i])
-		if target < 0 {
-			closed = false
-			break
-		}
-		sl[i] = target
-	}
-	if !closed {
-		h := arenaHeader{
-			flags:      arenaFlagDescend,
-			n:          uint32(n),
-			numNodes:   uint32(num),
-			rows:       uint32(rows),
-			childEdges: uint32(num - 1),
-			maxDepth:   uint32(t.cfg.MaxDepth),
-		}
-		arena, hh := buildArena(h, func(offs [numArenaSections]int64, arena []byte) {
-			putF64s(arena[offs[secLogRatio]:], logRatio)
-			putF64s(arena[offs[secBackground]:], background)
-			putU32s(arena[offs[secRow]:], row)
-			putU32s(arena[offs[secChildStart]:], childStart)
-			putU32s(arena[offs[secChildDst]:], childDst)
-			putU16s(arena[offs[secChildSym]:], childSym)
-		})
-		s.attach(arena, &hh)
-		s.background = background
-		return s
 	}
 
 	// Full-extension lists, grouped by source: y extends sl[y] by
@@ -377,8 +391,8 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 	// nearest dense ancestor's final row (the root's base row is all
 	// zeroes — stay at the root), overlay the extension overrides of
 	// each intervening CSR ancestor shallowest-first, then the node's
-	// own. BFS order guarantees every ancestor row is final before its
-	// descendants copy it.
+	// own. Parents precede children, so every ancestor row is final
+	// before its descendants copy it.
 	denseTrans := make([]int32, denseRows*n)
 	var chain []int32
 	for i := 0; i < num; i++ {
@@ -408,7 +422,7 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 		}
 	}
 
-	// CSR rows in BFS order (row ids were assigned in the same order,
+	// CSR rows in node order (row ids were assigned in the same order,
 	// so csrStart fills monotonically).
 	csrStart := make([]uint32, csrRows+1)
 	csrSym := make([]seq.Symbol, csrEdges)
@@ -431,15 +445,15 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 	h := arenaHeader{
 		n:         uint32(n),
 		numNodes:  uint32(num),
-		rows:      uint32(rows),
+		rows:      uint32(len(f.logRatio) / n),
 		denseRows: uint32(denseRows),
 		csrRows:   uint32(csrRows),
 		csrEdges:  uint32(csrEdges),
-		maxDepth:  uint32(t.cfg.MaxDepth),
+		maxDepth:  uint32(f.maxDepth),
 	}
 	arena, hh := buildArena(h, func(offs [numArenaSections]int64, arena []byte) {
-		putF64s(arena[offs[secLogRatio]:], logRatio)
-		putF64s(arena[offs[secBackground]:], background)
+		putF64s(arena[offs[secLogRatio]:], f.logRatio)
+		putF64s(arena[offs[secBackground]:], f.background)
 		putU32s(arena[offs[secNodeTrans]:], nodeTrans)
 		putU32s(arena[offs[secParent]:], parent)
 		putU32s(arena[offs[secRow]:], row)
@@ -448,9 +462,93 @@ func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
 		putU32s(arena[offs[secCsrDst]:], csrDst)
 		putU16s(arena[offs[secCsrSym]:], csrSym)
 	})
-	s.attach(arena, &hh)
-	s.background = background
-	return s
+	return arena, hh, nil
+}
+
+// closureLimit bounds the closure of a tree read from outside the
+// process — a loaded tree, a legacy descend arena — at
+// min(maxDepth, 16)·num + 2^16 nodes. Every closure node is a context
+// prefix of a real node, so a tree of depth D closes within D·num nodes:
+// no tree of depth 16 or less can reach the bound, and a deeper one must
+// first average 15 virtual nodes per real node, far more than the
+// capped trees Insert grows (DESIGN.md §6). A crafted single root path,
+// whose closure holds every substring of its context, fails after
+// linear work instead of allocating quadratically many nodes.
+func closureLimit(num, maxDepth int) int {
+	return min(num*min(maxDepth, 16)+1<<16, math.MaxInt32)
+}
+
+// closure resolves every node's suffix link, computed from structure
+// alone: sl[x] is the node for x's context minus its most recent symbol,
+// by the recurrence sl[x] = child(sl[parent[x]], edge[x]). Every depth ≥
+// 1 node y is the full extension (one more recent symbol) of exactly one
+// node, sl[y], so the transition automaton is exact iff every link
+// resolves. Insert keeps trees closed, but pruning can evict a link
+// target: closure then appends it to f.parent and f.edge as a virtual
+// node, after every node that exists so far. Its tree parent, the link
+// of the parent of the node that needed it, precedes it, so parents
+// still precede children; its own link is resolved, and closed, when the
+// pass reaches it. A closure that would hold more than limit nodes fails.
+func (f *flatTree) closure(limit int) ([]int32, error) {
+	c := &closer{parent: f.parent, edge: f.edge, numReal: len(f.parent), limit: limit}
+	c.sl = make([]int32, c.numReal)
+	for i := 1; i < len(c.parent); i++ {
+		if c.parent[i] == 0 {
+			continue // sl = root
+		}
+		p, sym := c.sl[c.parent[i]], c.edge[i]
+		target := int32(-1)
+		if int(p) < c.numReal {
+			target = f.child(p, sym)
+		}
+		if target < 0 {
+			var err error
+			if target, err = c.virtual(p, sym); err != nil {
+				return nil, err
+			}
+		}
+		c.sl[i] = target
+	}
+	f.parent, f.edge = c.parent, c.edge
+	return c.sl, nil
+}
+
+// closer is closure's state: the node arrays and suffix links as they
+// grow, and each node's list of virtual children, allocated at the first
+// miss: kid[p] is the last one added (0 for none, as the root is
+// nobody's child), and sib[v − numReal] the one added before v.
+type closer struct {
+	parent         []int32
+	edge           []seq.Symbol
+	sl, kid, sib   []int32
+	numReal, limit int
+}
+
+// virtual returns p's virtual child along sym, appending it if it is
+// missing. It is kept out of closure's loop: inline, its state slowed
+// that loop by about a tenth on closed trees.
+func (c *closer) virtual(p int32, sym seq.Symbol) (int32, error) {
+	if c.kid != nil {
+		for v := c.kid[p]; v != 0; v = c.sib[int(v)-c.numReal] {
+			if c.edge[v] == sym {
+				return v, nil
+			}
+		}
+	}
+	if len(c.parent) >= c.limit {
+		return 0, fmt.Errorf("pst: closing %d nodes under suffix links takes more than %d", c.numReal, c.limit)
+	}
+	if c.kid == nil {
+		c.kid = make([]int32, c.numReal)
+	}
+	v := int32(len(c.parent))
+	c.parent = append(c.parent, p)
+	c.edge = append(c.edge, sym)
+	c.sl = append(c.sl, 0)
+	c.kid = append(c.kid, 0)
+	c.sib = append(c.sib, c.kid[p])
+	c.kid[p] = v
+	return v, nil
 }
 
 // Version returns the tree Version the snapshot was compiled at.
@@ -500,63 +598,6 @@ func (s *Snapshot) Score(t *Tree, symbols []seq.Symbol, background []float64) Si
 	return t.Similarity(symbols, background)
 }
 
-// child returns the compiled index of cur's child along edge symbol sym,
-// or −1 — the descent-mode equivalent of the tree's lookupChild.
-//
-//cluseq:hotpath
-func (s *Snapshot) child(cur int32, sym seq.Symbol) int32 {
-	lo, hi := s.childStart[cur], s.childStart[cur+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.childSym[mid] < sym {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < s.childStart[cur+1] && s.childSym[lo] == sym {
-		return s.childDst[lo]
-	}
-	return -1
-}
-
-// similarityDescend is the exact compiled replay of Tree.Similarity for
-// trees without slink closure: a bounded root-down descent locates each
-// position's deepest matching node, and the precomputed rows supply the
-// adjusted log ratio. O(l·L) like the tree scan it mirrors, but free of
-// locks and logarithms.
-//
-//cluseq:hotpath
-func (s *Snapshot) similarityDescend(symbols []seq.Symbol) Similarity {
-	best := Similarity{LogSim: math.Inf(-1)}
-	logY := math.Inf(-1)
-	yStart := 0
-	n := s.n
-	for i, sym := range symbols {
-		var cur int32
-		for d := 1; d <= s.maxDepth && i-d >= 0; d++ {
-			c := s.child(cur, symbols[i-d])
-			if c < 0 {
-				break
-			}
-			cur = c
-		}
-		logX := s.logRatio[int(s.row[cur])*n+int(sym)]
-		if logY+logX >= logX {
-			logY += logX
-		} else {
-			logY = logX
-			yStart = i
-		}
-		if logY > best.LogSim {
-			best.LogSim = logY
-			best.Start = yStart
-			best.End = i + 1
-		}
-	}
-	return best
-}
-
 // stepCSR advances the transition function from a CSR node: binary
 // search the node's own sorted extensions, and on a miss climb the BFS
 // parent chain — the next shorter context suffix — until a CSR row
@@ -596,9 +637,6 @@ func (s *Snapshot) stepCSR(tr uint32, cur int32, sym seq.Symbol) int32 {
 func (s *Snapshot) Similarity(symbols []seq.Symbol) Similarity {
 	if len(symbols) == 0 {
 		return Similarity{LogSim: math.Inf(-1)}
-	}
-	if s.descend {
-		return s.similarityDescend(symbols)
 	}
 	best := Similarity{LogSim: math.Inf(-1)}
 	logY := math.Inf(-1)

@@ -20,6 +20,25 @@ func requireIdentical(t *testing.T, tree *Tree, snap *Snapshot, probe []seq.Symb
 	}
 }
 
+// requireVirtualRows checks the nodes the compiler appended to close
+// the tree under suffix links — every compiled node past the tree's own
+// — and returns their count: each hangs below an earlier node and
+// scores with its parent's row, and so with its deepest real
+// ancestor's.
+func requireVirtualRows(t *testing.T, tree *Tree, snap *Snapshot) int {
+	t.Helper()
+	num := tree.NumNodes()
+	if len(snap.row) < num {
+		t.Fatalf("%d compiled nodes for a %d-node tree", len(snap.row), num)
+	}
+	for v := num; v < len(snap.row); v++ {
+		if p := snap.parent[v]; p >= int32(v) || snap.row[v] != snap.row[p] {
+			t.Fatalf("virtual node %d hangs below node %d and scores with row %d, not its parent's", v, p, snap.row[v])
+		}
+	}
+	return len(snap.row) - num
+}
+
 func uniformBg(n int) []float64 {
 	bg := make([]float64, n)
 	for i := range bg {
@@ -30,10 +49,13 @@ func uniformBg(n int) []float64 {
 
 // TestSnapshotMatchesTreeRandom sweeps random trees across the
 // estimator's configuration space: PMin on/off, adaptive significance,
-// the shrinkage estimator on every other trial, and all three
+// the shrinkage estimator on every other trial, a §5.1 memory cap with
+// a random pruning strategy on the last third, and all three
 // transition-row mixes (per-node hybrid, all-dense, all-CSR — the
 // latter two forced through the occupancy knob so the climb/override
-// code paths are exercised regardless of tree shape).
+// code paths are exercised regardless of tree shape). Capped trees
+// mostly lose suffix-link closure, so their virtual nodes are scored
+// through dense rows and CSR parent climbs alike.
 func TestSnapshotMatchesTreeRandom(t *testing.T) {
 	for _, mode := range []struct {
 		name      string
@@ -49,7 +71,8 @@ func TestSnapshotMatchesTreeRandom(t *testing.T) {
 			denseOccupancy, denseAllLimit = mode.occupancy, mode.allLimit
 			defer func() { denseOccupancy, denseAllLimit = oldOcc, oldAll }()
 			rng := rand.New(rand.NewPCG(41, 42))
-			for trial := 0; trial < 80; trial++ {
+			virtual := 0
+			for trial := 0; trial < 120; trial++ {
 				alpha := 2 + rng.IntN(7)
 				cfg := Config{
 					AlphabetSize: alpha,
@@ -62,6 +85,10 @@ func TestSnapshotMatchesTreeRandom(t *testing.T) {
 				cfg.AdaptiveSignificance = rng.IntN(2) == 0
 				if trial%2 == 1 {
 					cfg.Shrinkage = 0.5 + 16*rng.Float64()
+				}
+				if trial >= 80 {
+					cfg.MaxBytes = (8 + rng.IntN(56)) * (88 + 8*alpha + 48) // 8–63 nodes
+					cfg.Prune = PruneStrategy(rng.IntN(4))
 				}
 				tree := MustNew(cfg)
 				for k := 0; k < 1+rng.IntN(4); k++ {
@@ -80,9 +107,13 @@ func TestSnapshotMatchesTreeRandom(t *testing.T) {
 				if !snap.Valid(tree) {
 					t.Fatal("fresh snapshot must be valid")
 				}
+				virtual += requireVirtualRows(t, tree, snap)
 				for probe := 0; probe < 6; probe++ {
 					requireIdentical(t, tree, snap, randomSymbols(rng, 1+rng.IntN(90), alpha), bg)
 				}
+			}
+			if virtual == 0 {
+				t.Fatal("no capped trial compiled a virtual node; the sweep misses the suffix-link closure")
 			}
 		})
 	}
@@ -121,15 +152,15 @@ func TestSnapshotNoSmoothing(t *testing.T) {
 
 // TestSnapshotShrinkage covers the shrinkage estimator, whose blended
 // estimate depends on the deepest matching node alone: the snapshot
-// compiles one score row per node, in automaton and descend mode, and
-// scores exactly as the tree does, before and after an arena round
-// trip.
+// compiles one score row per tree node — a virtual node, in a pruned
+// tree, takes its parent's — and scores exactly as the tree does,
+// before and after an arena round trip.
 func TestSnapshotShrinkage(t *testing.T) {
 	for _, prune := range []bool{false, true} {
 		t.Run(fmt.Sprintf("prune=%v", prune), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(47, 48))
 			// Expected-vector pruning evicts interior suffix contexts of
-			// this tree, so the pruned case compiles the descend mode.
+			// this tree, so the pruned case compiles virtual nodes.
 			tree := MustNew(Config{AlphabetSize: 5, MaxDepth: 4, Significance: 3, Shrinkage: 8, PMin: 0.01, Prune: PruneExpectedVector})
 			tree.Insert(randomSymbols(rng, 300, 5))
 			if prune {
@@ -137,14 +168,14 @@ func TestSnapshotShrinkage(t *testing.T) {
 			}
 			bg := uniformBg(5)
 			snap := tree.CompileSnapshot(bg)
-			if snap.descend != prune {
-				t.Fatalf("descend mode %v, want %v", snap.descend, prune)
+			if virtual := requireVirtualRows(t, tree, snap); (virtual > 0) != prune {
+				t.Fatalf("prune=%v compiled %d virtual nodes", prune, virtual)
 			}
 			num := tree.NumNodes()
-			if len(snap.row) != num || len(snap.logRatio) != num*5 {
-				t.Fatalf("%d row entries and %d ratios for %d nodes, want one score row per node", len(snap.row), len(snap.logRatio), num)
+			if len(snap.logRatio) != num*5 {
+				t.Fatalf("%d ratios for %d nodes, want one score row per tree node", len(snap.logRatio), num)
 			}
-			for i, r := range snap.row {
+			for i, r := range snap.row[:num] {
 				if int(r) != i {
 					t.Fatalf("node %d scores with row %d, want its own", i, r)
 				}
@@ -257,8 +288,8 @@ func TestSnapshotScore(t *testing.T) {
 // TestSuffixLinkInvariant pins the property the transition automaton
 // rests on: Insert keeps a tree suffix-closed — every node's context
 // minus its most recent symbol is itself a node — so a snapshot of an
-// unpruned tree compiles the O(1)-per-symbol automaton, never the
-// bounded-descent fallback.
+// unpruned tree compiles its automaton without a virtual node, to the
+// same arena bytes as before the compiler could close trees.
 func TestSuffixLinkInvariant(t *testing.T) {
 	rng := rand.New(rand.NewPCG(39, 40))
 	tree := MustNew(Config{AlphabetSize: 4, MaxDepth: 5, Significance: 1})
@@ -276,8 +307,8 @@ func TestSuffixLinkInvariant(t *testing.T) {
 		}
 		return true
 	})
-	if tree.CompileSnapshot(uniformBg(4)).descend {
-		t.Fatal("an unpruned tree must compile the transition automaton, not the descent fallback")
+	if virtual := requireVirtualRows(t, tree, tree.CompileSnapshot(uniformBg(4))); virtual != 0 {
+		t.Fatalf("an unpruned tree compiled %d virtual nodes", virtual)
 	}
 }
 
@@ -295,8 +326,8 @@ func TestSnapshotBackgroundMismatchPanics(t *testing.T) {
 
 // FuzzSnapshotSimilarity drives random construction and probes through
 // the compiled and the tree scan, including pruning (which exercises
-// the bounded-descent compile path) and, for a quarter of the seeds,
-// the shrinkage estimator.
+// the suffix-link closure) and, for a quarter of the seeds, the
+// shrinkage estimator.
 func FuzzSnapshotSimilarity(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 0, 1}, []byte{2, 1, 0}, false)
 	f.Add(uint64(7), []byte{3, 3, 3, 1}, []byte{1, 3, 1, 3}, true)
@@ -337,11 +368,15 @@ func FuzzSnapshotSimilarity(f *testing.F) {
 
 // benchTree builds a deterministic scoring workload: a tree grown from
 // cluster-like segments plus probe sequences to score against it, with
-// the shrinkage estimator when kappa is positive.
-func benchTree(b *testing.B, alpha, seqLen int, kappa float64) (*Tree, [][]seq.Symbol, []float64) {
+// the shrinkage estimator when kappa is positive. A positive capBytes
+// caps the tree with expected-vector pruning, as the stream engine caps
+// its cluster trees (§5.1): the cap takes the tree out of suffix-link
+// closure, so its snapshot compiles virtual nodes.
+func benchTree(b *testing.B, alpha, seqLen int, kappa float64, capBytes int) (*Tree, [][]seq.Symbol, []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewPCG(61, 62))
-	tree := MustNew(Config{AlphabetSize: alpha, MaxDepth: 6, Significance: 10, PMin: 0.25 / float64(alpha), Shrinkage: kappa})
+	tree := MustNew(Config{AlphabetSize: alpha, MaxDepth: 6, Significance: 10, PMin: 0.25 / float64(alpha), Shrinkage: kappa,
+		MaxBytes: capBytes, Prune: PruneExpectedVector})
 	for i := 0; i < 40; i++ {
 		tree.Insert(randomSymbols(rng, seqLen, alpha))
 	}
@@ -352,45 +387,65 @@ func benchTree(b *testing.B, alpha, seqLen int, kappa float64) (*Tree, [][]seq.S
 	return tree, probes, uniformBg(alpha)
 }
 
+// reportVirtual reports the snapshot's virtual nodes per tree node.
+func reportVirtual(b *testing.B, tree *Tree, snap *Snapshot) {
+	b.ReportMetric(float64(len(snap.row)-tree.NumNodes())/float64(tree.NumNodes()), "virtual/node")
+}
+
 // BenchmarkSimilarity compares the pointer-walking tree scan with the
 // compiled snapshot on the same workload — the acceptance benchmark for
-// the snapshot optimization.
+// the snapshot optimization — on closed trees and on a capped tree
+// whose automaton needs virtual nodes.
 func BenchmarkSimilarity(b *testing.B) {
 	for _, size := range []struct {
-		name        string
-		alpha, slen int
+		name                  string
+		alpha, slen, capBytes int
 	}{
-		{"alpha10_len200", 10, 200},
-		{"alpha50_len500", 50, 500},
+		{"alpha10_len200", 10, 200, 0},
+		{"alpha50_len500", 50, 500, 0},
+		{"alpha50_len500_pruned", 50, 500, 256 << 10},
 	} {
-		tree, probes, bg := benchTree(b, size.alpha, size.slen, 0)
+		tree, probes, bg := benchTree(b, size.alpha, size.slen, 0, size.capBytes)
 		snap := tree.CompileSnapshot(bg)
-		b.Run(size.name+"/tree", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tree.Similarity(probes[i%len(probes)], bg)
-			}
-		})
-		b.Run(size.name+"/snapshot", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				snap.Similarity(probes[i%len(probes)])
-			}
-		})
+		for _, scan := range []struct {
+			name string
+			run  func(p []seq.Symbol) Similarity
+		}{
+			{"tree", func(p []seq.Symbol) Similarity { return tree.Similarity(p, bg) }},
+			{"snapshot", snap.Similarity},
+		} {
+			b.Run(size.name+"/"+scan.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSink = scan.run(probes[i%len(probes)])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size.slen), "ns/symbol")
+				reportVirtual(b, tree, snap)
+			})
+		}
 	}
 }
 
+// benchSink keeps the benchmarked scans from being optimized away.
+var benchSink Similarity
+
 // BenchmarkCompileSnapshot prices the compilation itself, the cost the
-// engine pays once per (cluster, scoring pass).
-func BenchmarkCompileSnapshot(b *testing.B) { benchCompile(b, 0) }
+// engine pays once per (cluster, scoring pass), for a closed tree and
+// for a capped one that compiles virtual nodes.
+func BenchmarkCompileSnapshot(b *testing.B) {
+	b.Run("closed", func(b *testing.B) { benchCompile(b, 0, 0) })
+	b.Run("pruned", func(b *testing.B) { benchCompile(b, 0, 256<<10) })
+}
 
 // BenchmarkCompileSnapshotShrinkage prices the same compile under the
 // shrinkage estimator, whose score rows are one per node rather than
 // one per significant node.
-func BenchmarkCompileSnapshotShrinkage(b *testing.B) { benchCompile(b, 8) }
+func BenchmarkCompileSnapshotShrinkage(b *testing.B) { benchCompile(b, 8, 0) }
 
 // benchCompile compiles benchTree's tree b.N times and reports its node
-// count and the arena bytes the snapshot takes per node.
-func benchCompile(b *testing.B, kappa float64) {
-	tree, _, bg := benchTree(b, 20, 300, kappa)
+// count, the arena bytes the snapshot takes per node and its virtual
+// nodes per tree node.
+func benchCompile(b *testing.B, kappa float64, capBytes int) {
+	tree, _, bg := benchTree(b, 20, 300, kappa, capBytes)
 	b.ResetTimer()
 	var snap *Snapshot
 	for i := 0; i < b.N; i++ {
@@ -399,4 +454,5 @@ func benchCompile(b *testing.B, kappa float64) {
 	// Reported after the loop: ResetTimer drops user metrics.
 	b.ReportMetric(float64(tree.NumNodes()), "nodes")
 	b.ReportMetric(float64(snap.ArenaBytes())/float64(tree.NumNodes()), "arenaB/node")
+	reportVirtual(b, tree, snap)
 }
