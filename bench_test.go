@@ -13,6 +13,7 @@ package cluseq_test
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"cluseq"
@@ -353,11 +354,11 @@ func clusterQuality(b *testing.B, db *seq.Database, cfg core.Config) float64 {
 	return rep.Accuracy
 }
 
-func ablationSyntheticDB(b *testing.B) *seq.Database {
+func ablationSyntheticDB(b *testing.B, seed uint64) *seq.Database {
 	b.Helper()
 	db, err := datagen.SyntheticDB(datagen.SyntheticConfig{
 		NumSequences: 200, AvgLength: 100, AlphabetSize: 20,
-		NumClusters: 5, OutlierFrac: 0.05, Seed: 1,
+		NumClusters: 5, OutlierFrac: 0.05, Seed: seed,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -365,10 +366,24 @@ func ablationSyntheticDB(b *testing.B) *seq.Database {
 	return db
 }
 
-func ablationProteinDB(b *testing.B) *seq.Database {
+// ablationProteinDB draws the protein families from seed+1, so run seed 1
+// clusters the data seed 2 the ablations have always used.
+func ablationProteinDB(b *testing.B, seed uint64) *seq.Database {
 	b.Helper()
 	db, err := datagen.ProteinDB(datagen.ProteinConfig{
-		Scale: 0.04, MinLength: 100, MaxLength: 300, Seed: 2,
+		Scale: 0.04, MinLength: 100, MaxLength: 300, Seed: seed + 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+// ablationLanguageDB is Table 4's tiny-scale language workload.
+func ablationLanguageDB(b *testing.B, seed uint64) *seq.Database {
+	b.Helper()
+	db, err := datagen.LanguageDB(datagen.LanguageConfig{
+		SentencesPerLanguage: 80, NoiseSentences: 15, Seed: seed,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -390,6 +405,14 @@ func ablationProteinConfig() core.Config {
 	}
 }
 
+// ablationLanguageConfig is Table 4's tiny-scale configuration.
+func ablationLanguageConfig() core.Config {
+	return core.Config{
+		InitialClusters: 1, Significance: 8, MinDistinct: 3,
+		SimilarityThreshold: 2.5, MaxDepth: 4, MaxIterations: 30, Seed: 1,
+	}
+}
+
 // BenchmarkAblationPruning compares the three §5.1 pruning strategies
 // under a tight memory budget.
 func BenchmarkAblationPruning(b *testing.B) {
@@ -403,7 +426,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 		{"expected-vector", pst.PruneExpectedVector},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			db := ablationSyntheticDB(b)
+			db := ablationSyntheticDB(b, 1)
 			acc := 0.0
 			for i := 0; i < b.N; i++ {
 				cfg := ablationSyntheticConfig()
@@ -421,7 +444,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 func BenchmarkAblationSignificance(b *testing.B) {
 	cases := []struct {
 		name  string
-		db    func(*testing.B) *seq.Database
+		db    func(*testing.B, uint64) *seq.Database
 		cfg   func() core.Config
 		fixed bool
 	}{
@@ -432,7 +455,7 @@ func BenchmarkAblationSignificance(b *testing.B) {
 	}
 	for _, v := range cases {
 		b.Run(v.name, func(b *testing.B) {
-			db := v.db(b)
+			db := v.db(b, 1)
 			acc := 0.0
 			for i := 0; i < b.N; i++ {
 				cfg := v.cfg()
@@ -442,6 +465,72 @@ func BenchmarkAblationSignificance(b *testing.B) {
 			b.ReportMetric(100*acc, "acc%")
 		})
 	}
+}
+
+// BenchmarkAblationEstimator compares the PST's three probability
+// estimators on the three workload archetypes: the paper's fixed
+// significance, adaptive significance, and shrinkage at κ = 4, 8 and 16.
+// An estimator can collapse a run to a few clusters at one seed and not
+// at the next, so one run says little: each iteration clusters seeds
+// 1–12, each seed driving both the data and the run, and reports the
+// median, interquartile range and minimum accuracy over them.
+func BenchmarkAblationEstimator(b *testing.B) {
+	const seeds = 12
+	workloads := []struct {
+		name string
+		db   func(*testing.B, uint64) *seq.Database
+		cfg  func() core.Config
+	}{
+		{"synthetic", ablationSyntheticDB, ablationSyntheticConfig},
+		{"protein", ablationProteinDB, ablationProteinConfig},
+		{"language", ablationLanguageDB, ablationLanguageConfig},
+	}
+	estimators := []struct {
+		name      string
+		fixed     bool
+		shrinkage float64
+	}{
+		{"fixed", true, 0},
+		{"adaptive", false, 0},
+		{"kappa4", false, 4},
+		{"kappa8", false, 8},
+		{"kappa16", false, 16},
+	}
+	for _, w := range workloads {
+		for _, est := range estimators {
+			b.Run(w.name+"/"+est.name, func(b *testing.B) {
+				dbs := make([]*seq.Database, seeds)
+				for i := range dbs {
+					dbs[i] = w.db(b, uint64(i+1))
+				}
+				b.ResetTimer()
+				accs := make([]float64, seeds)
+				for i := 0; i < b.N; i++ {
+					for j, db := range dbs {
+						cfg := w.cfg()
+						cfg.Seed = uint64(j + 1)
+						cfg.FixedSignificance = est.fixed
+						cfg.Shrinkage = est.shrinkage
+						accs[j] = clusterQuality(b, db, cfg)
+					}
+				}
+				slices.Sort(accs)
+				b.ReportMetric(100*quantile(accs, 0.5), "median_acc%")
+				b.ReportMetric(100*(quantile(accs, 0.75)-quantile(accs, 0.25)), "iqr_acc%")
+				b.ReportMetric(100*accs[0], "min_acc%")
+			})
+		}
+	}
+}
+
+// quantile interpolates linearly between the order statistics of sorted.
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	return sorted[lo] + (pos-float64(lo))*(sorted[lo+1]-sorted[lo])
 }
 
 // BenchmarkAblationValley compares the threshold-valley estimators.
@@ -455,7 +544,7 @@ func BenchmarkAblationValley(b *testing.B) {
 		{"regression", core.ValleyRegression},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			db := ablationSyntheticDB(b)
+			db := ablationSyntheticDB(b, 1)
 			acc := 0.0
 			for i := 0; i < b.N; i++ {
 				cfg := ablationSyntheticConfig()
@@ -477,7 +566,7 @@ func BenchmarkAblationUpdate(b *testing.B) {
 			name = "whole-sequence"
 		}
 		b.Run(name, func(b *testing.B) {
-			db := ablationProteinDB(b)
+			db := ablationProteinDB(b, 1)
 			acc := 0.0
 			for i := 0; i < b.N; i++ {
 				cfg := ablationProteinConfig()
@@ -494,7 +583,7 @@ func BenchmarkAblationUpdate(b *testing.B) {
 func BenchmarkAblationRefine(b *testing.B) {
 	for _, passes := range []int{0, 2} {
 		b.Run(fmt.Sprintf("passes=%d", passes), func(b *testing.B) {
-			db := ablationProteinDB(b)
+			db := ablationProteinDB(b, 1)
 			acc := 0.0
 			for i := 0; i < b.N; i++ {
 				cfg := ablationProteinConfig()
@@ -511,7 +600,7 @@ func BenchmarkAblationRefine(b *testing.B) {
 func BenchmarkAblationConsolidation(b *testing.B) {
 	cases := []struct {
 		name string
-		db   func(*testing.B) *seq.Database
+		db   func(*testing.B, uint64) *seq.Database
 		cfg  func() core.Config
 	}{
 		{"protein", ablationProteinDB, ablationProteinConfig},
@@ -524,7 +613,7 @@ func BenchmarkAblationConsolidation(b *testing.B) {
 				name = v.name + "/merge"
 			}
 			b.Run(name, func(b *testing.B) {
-				db := v.db(b)
+				db := v.db(b, 1)
 				acc := 0.0
 				for i := 0; i < b.N; i++ {
 					cfg := v.cfg()
@@ -546,7 +635,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 			name = "workers=max"
 		}
 		b.Run(name, func(b *testing.B) {
-			db := ablationSyntheticDB(b)
+			db := ablationSyntheticDB(b, 1)
 			for i := 0; i < b.N; i++ {
 				cfg := ablationSyntheticConfig()
 				cfg.InitialClusters = 5
@@ -566,7 +655,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 // speedup. cmd/experiments -bench-recluster writes the same grid as
 // JSON for the repo's perf trajectory.
 func BenchmarkRecluster(b *testing.B) {
-	db := ablationSyntheticDB(b)
+	db := ablationSyntheticDB(b, 1)
 	for _, workers := range []int{1, 4} {
 		for _, cacheOff := range []bool{false, true} {
 			cache := "on"

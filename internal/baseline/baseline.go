@@ -3,9 +3,9 @@
 // distance (ED), the edit distance with block operations (EDBO), the
 // hidden Markov model (HMM), and the q-gram approach. The paper does not
 // fix the clustering procedure for the distance-based baselines, so this
-// package provides the standard choices — k-medoids and agglomerative
-// average linkage over a pairwise distance matrix, a likelihood-based HMM
-// mixture, and spherical k-means over q-gram profiles.
+// package provides the standard choices — k-medoids over a pairwise
+// distance matrix, a likelihood-based HMM mixture, and spherical k-means
+// over q-gram profiles.
 package baseline
 
 import (
@@ -151,77 +151,6 @@ func farthestFirst(dist [][]float64, k int, rng *rand.Rand) []int {
 		}
 	}
 	return medoids
-}
-
-// Agglomerative performs average-linkage hierarchical clustering over a
-// distance matrix, merging until k clusters remain. O(n³) — intended for
-// the moderate n of the Table 2 comparison.
-func Agglomerative(dist [][]float64, k int) ([]int, error) {
-	n := len(dist)
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("baseline: k=%d outside [1, %d]", k, n)
-	}
-	// Working copy of average-linkage distances plus cluster sizes.
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = append([]float64(nil), dist[i]...)
-	}
-	size := make([]int, n)
-	active := make([]bool, n)
-	parent := make([]int, n)
-	for i := range size {
-		size[i] = 1
-		active[i] = true
-		parent[i] = i
-	}
-	remaining := n
-	for remaining > k {
-		// Find the closest active pair.
-		bi, bj, bd := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if active[j] && d[i][j] < bd {
-					bd = d[i][j]
-					bi, bj = i, j
-				}
-			}
-		}
-		// Merge j into i with Lance-Williams average linkage.
-		for x := 0; x < n; x++ {
-			if x == bi || x == bj || !active[x] {
-				continue
-			}
-			d[bi][x] = (float64(size[bi])*d[bi][x] + float64(size[bj])*d[bj][x]) /
-				float64(size[bi]+size[bj])
-			d[x][bi] = d[bi][x]
-		}
-		size[bi] += size[bj]
-		active[bj] = false
-		parent[bj] = bi
-		remaining--
-	}
-	// Resolve each point to its active representative, then compact ids.
-	find := func(x int) int {
-		for parent[x] != x {
-			x = parent[x]
-		}
-		return x
-	}
-	compact := map[int]int{}
-	assign := make([]int, n)
-	for i := 0; i < n; i++ {
-		r := find(i)
-		id, ok := compact[r]
-		if !ok {
-			id = len(compact)
-			compact[r] = id
-		}
-		assign[i] = id
-	}
-	return assign, nil
 }
 
 // HMMClusters clusters the database with a mixture of k discrete HMMs:

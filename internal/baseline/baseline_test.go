@@ -83,44 +83,6 @@ func TestKMedoidsKEqualsN(t *testing.T) {
 	}
 }
 
-func TestAgglomerativeSeparatesBlobs(t *testing.T) {
-	d := twoBlobs(8)
-	assign, err := Agglomerative(d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameSide(assign, 8) {
-		t.Fatalf("agglomerative failed to separate blobs: %v", assign)
-	}
-}
-
-func TestAgglomerativeKExtremes(t *testing.T) {
-	d := twoBlobs(3)
-	assign, err := Agglomerative(d, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range assign {
-		if a != 0 {
-			t.Fatalf("k=1 should merge all: %v", assign)
-		}
-	}
-	assign, err = Agglomerative(d, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, a := range assign {
-		seen[a] = true
-	}
-	if len(seen) != 6 {
-		t.Fatalf("k=n should give singletons: %v", assign)
-	}
-	if _, err := Agglomerative(d, 0); err == nil {
-		t.Error("k=0 should fail")
-	}
-}
-
 func TestDistanceMatrixParallelMatchesSerial(t *testing.T) {
 	f := func(i, j int) float64 { return float64((i+1)*(j+1)%17) + float64(i+j) }
 	m1 := DistanceMatrix(25, f, 1)

@@ -296,7 +296,7 @@ func FuzzBundleV3(f *testing.F) {
 		for i := range bg {
 			bg[i] = 1 / float64(n)
 		}
-		clf, err := NewClassifierFromParts([]*pst.Tree{treeA, treeB}, nil, alphabet, bg, 1.1, false)
+		clf, err := NewClassifierFromParts([]*pst.Tree{treeA, treeB}, nil, alphabet, bg, 1.1)
 		if err != nil {
 			t.Fatal(err)
 		}

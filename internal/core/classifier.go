@@ -95,9 +95,10 @@ func NewClassifier(db *seq.Database, res *Result, cfg Config) (*Classifier, erro
 // it at snapshot-publication time: the trees must be private, immutable
 // copies (see pst.Tree.Clone) sharing one alphabet size, background is
 // the symbol distribution the similarities were scored against, and
-// threshold is the similarity threshold in effect (not log-domain). The
-// background slice is copied; the trees are not, so the caller must not
-// mutate them afterwards.
+// threshold is the similarity threshold in effect (not log-domain),
+// compared against per-symbol normalized similarities. The background
+// slice is copied; the trees are not, so the caller must not mutate them
+// afterwards.
 //
 // snaps, when non-nil, holds one already compiled snapshot per tree, so
 // the classifier need not compile again; a nil slice or a nil entry
@@ -105,7 +106,7 @@ func NewClassifier(db *seq.Database, res *Result, cfg Config) (*Classifier, erro
 // with trees[i]'s content, against background's values. The classifier
 // keeps a detached copy (pst.Snapshot.Detached), which shares the
 // compiled tables but not the tree they were compiled from.
-func NewClassifierFromParts(trees []*pst.Tree, snaps []*pst.Snapshot, alphabet *seq.Alphabet, background []float64, threshold float64, raw bool) (*Classifier, error) {
+func NewClassifierFromParts(trees []*pst.Tree, snaps []*pst.Snapshot, alphabet *seq.Alphabet, background []float64, threshold float64) (*Classifier, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("core: classifier needs at least one cluster tree")
 	}
@@ -140,7 +141,6 @@ func NewClassifierFromParts(trees []*pst.Tree, snaps []*pst.Snapshot, alphabet *
 		snaps:      make([]*pst.Snapshot, len(trees)),
 		background: append([]float64(nil), background...),
 		logT:       math.Log(threshold),
-		raw:        raw,
 		alphabet:   alphabet,
 	}
 	for i, tree := range trees {

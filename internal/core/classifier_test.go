@@ -235,7 +235,7 @@ func v2Fixture(t testing.TB) (*Classifier, []byte) {
 			trees[i].Insert(syms)
 		}
 	}
-	clf, err := NewClassifierFromParts(trees, nil, alphabet, []float64{0.3, 0.25, 0.25, 0.2}, 1.1, false)
+	clf, err := NewClassifierFromParts(trees, nil, alphabet, []float64{0.3, 0.25, 0.25, 0.2}, 1.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,6 @@ type cluster struct {
 	// re-scored against the mutated tree, where recompiling per join
 	// would cost more than the scans it saves.
 	snap *pst.Snapshot
-	// obsPruned/obsPruneEvents are the portions of the tree's cumulative
-	// prune counters already folded into the run metrics (see
-	// engine.harvestTree). Reset when the tree is rebuilt.
-	obsPruned      int64
-	obsPruneEvents int64
 }
 
 // simCacheEntry is one slot of a cluster's similarity cache. The entry
@@ -113,20 +108,6 @@ func (e *engine) membershipOf() [][]int {
 		sort.Ints(out[i])
 	}
 	return out
-}
-
-func sameMembership(a, b [][]int) bool {
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 //cluseq:deterministic
@@ -253,9 +234,6 @@ func (e *engine) run() (*Result, error) {
 		e.refine()
 		sp.End()
 		e.met.observePhase(e.met.phaseRefine, start)
-		for _, c := range e.clusters {
-			e.harvestTree(c)
-		}
 		e.cfg.Flight.Finish(job, 200)
 	}
 
@@ -315,10 +293,7 @@ func (e *engine) refine() {
 			for i, m := range members {
 				tree.Insert(e.db.Sequences[m].Symbols[segs[i][0]:segs[i][1]])
 			}
-			// The rebuilt tree's prune counters restart from zero: bank
-			// the old tree's tallies, then reset the harvest watermarks.
-			e.harvestTree(c)
-			c.obsPruned, c.obsPruneEvents = 0, 0
+			e.met.countPrunes(tree, 0, 0)
 			c.tree = tree
 			// Version stamps identify states of one tree only; swapping
 			// in a rebuilt tree (whose counter restarts) could collide
@@ -489,6 +464,7 @@ func (e *engine) generateClusters(kn int) int {
 		}
 		e.nextID++
 		c.tree.Insert(e.db.Sequences[idx].Symbols)
+		e.met.countPrunes(c.tree, 0, 0)
 		e.clusters = append(e.clusters, c)
 		created++
 		// Update remaining candidates against the new seed cluster. The
@@ -657,11 +633,13 @@ func (e *engine) recluster(job *obs.RequestTrace) []float64 {
 				// else out.
 				if !c.members[si] {
 					c.members[si] = true
+					events, nodes := c.tree.PruneEvents(), c.tree.PrunedNodes()
 					if e.cfg.InsertWhole {
 						c.tree.Insert(s.Symbols)
 					} else {
 						c.tree.Insert(s.Symbols[sim.Start:sim.End])
 					}
+					e.met.countPrunes(c.tree, events, nodes)
 				}
 			} else {
 				delete(c.members, si)
@@ -785,10 +763,6 @@ func (e *engine) consolidate() int {
 	for i, c := range e.clusters {
 		if !dismissed[i] {
 			kept = append(kept, c)
-		} else {
-			// The tree is about to be dropped; bank its prune counters
-			// before they become unreachable.
-			e.harvestTree(c)
 		}
 	}
 	e.clusters = kept
@@ -822,11 +796,13 @@ func (e *engine) mergeInto(c *cluster, later []int, dismissed []bool) {
 	if target == nil || bestOverlap == 0 {
 		return // nothing meaningfully overlaps; plain dismissal
 	}
+	events, nodes := target.tree.PruneEvents(), target.tree.PrunedNodes()+c.tree.PrunedNodes()
 	if err := target.tree.Merge(c.tree); err != nil {
 		// Trees within one run always share configuration; a mismatch
 		// would be a programming error worth surfacing loudly.
 		panic(err)
 	}
+	e.met.countPrunes(target.tree, events, nodes)
 	for m := range c.members {
 		target.members[m] = true
 	}

@@ -275,19 +275,3 @@ func TestSequenceOrderStrategies(t *testing.T) {
 		seen[v] = true
 	}
 }
-
-func TestSameMembership(t *testing.T) {
-	a := [][]int{{1, 2}, {}, {3}}
-	b := [][]int{{1, 2}, {}, {3}}
-	if !sameMembership(a, b) {
-		t.Fatal("identical memberships reported different")
-	}
-	b[2] = []int{4}
-	if sameMembership(a, b) {
-		t.Fatal("different memberships reported same")
-	}
-	b[2] = []int{3, 4}
-	if sameMembership(a, b) {
-		t.Fatal("different lengths reported same")
-	}
-}

@@ -56,7 +56,7 @@ func FuzzClassifierBundle(f *testing.F) {
 		for i := range bg {
 			bg[i] = 1 / float64(n)
 		}
-		clf, err := NewClassifierFromParts([]*pst.Tree{treeA, treeB}, nil, alphabet, bg, 1.1, false)
+		clf, err := NewClassifierFromParts([]*pst.Tree{treeA, treeB}, nil, alphabet, bg, 1.1)
 		if err != nil {
 			t.Fatal(err)
 		}

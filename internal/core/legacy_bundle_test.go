@@ -87,7 +87,7 @@ func legacyShrinkageClassifier(t testing.TB) *Classifier {
 		}
 		trees = append(trees, tree)
 	}
-	clf, err := NewClassifierFromParts(trees, nil, alphabet, []float64{0.3, 0.25, 0.25, 0.2}, 1.15, false)
+	clf, err := NewClassifierFromParts(trees, nil, alphabet, []float64{0.3, 0.25, 0.25, 0.2}, 1.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func legacyDescendClassifier(t testing.TB) *Classifier {
 		}
 		trees = append(trees, tree)
 	}
-	clf, err := NewClassifierFromParts(trees, nil, alphabet, []float64{0.2, 0.2, 0.15, 0.2, 0.1, 0.15}, 1.1, false)
+	clf, err := NewClassifierFromParts(trees, nil, alphabet, []float64{0.2, 0.2, 0.15, 0.2, 0.1, 0.15}, 1.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,11 @@ type engineMetrics struct {
 	unclustered *obs.Gauge
 	threshold   *obs.Gauge
 
-	pstNodes    *obs.Gauge
-	pstBytes    *obs.Gauge
+	pstNodes *obs.Gauge
+	pstBytes *obs.Gauge
+	// pruneEvents and prunedNodes count the §5.1 prune passes and the
+	// nodes they evicted: the delta each Insert and Merge call produces
+	// (see countPrunes).
 	pruneEvents *obs.Counter
 	prunedNodes *obs.Counter
 }
@@ -95,28 +98,19 @@ func (m *engineMetrics) observePhase(h *obs.Histogram, start time.Time) {
 	h.ObserveSince(start)
 }
 
-// harvestTree folds a cluster tree's cumulative prune counters into
-// the run counters, tracking the last harvested value per cluster so
-// each eviction is counted exactly once. Called at iteration end for
-// live clusters and just before a cluster's tree is dropped
-// (consolidation dismissal, refine rebuild).
-func (e *engine) harvestTree(c *cluster) {
-	if !e.met.enabled() {
-		return
-	}
-	if d := c.tree.PrunedNodes() - c.obsPruned; d > 0 {
-		e.met.prunedNodes.Add(d)
-		c.obsPruned += d
-	}
-	if d := c.tree.PruneEvents() - c.obsPruneEvents; d > 0 {
-		e.met.pruneEvents.Add(d)
-		c.obsPruneEvents += d
-	}
+// countPrunes adds the prune passes and evictions of Insert or Merge
+// calls into tree, given its counters read just before them (zero for a
+// fresh tree). For a merge, nodes also holds the absorbed tree's
+// PrunedNodes, which Merge carries over; harvesting the trees'
+// cumulative counters instead would count every merged eviction twice.
+// Safe from pool workers: the counters are atomic.
+func (m *engineMetrics) countPrunes(tree *pst.Tree, events, nodes int64) {
+	m.pruneEvents.Add(tree.PruneEvents() - events)
+	m.prunedNodes.Add(tree.PrunedNodes() - nodes)
 }
 
 // observeIteration publishes the end-of-iteration state: gauges for
-// cluster/PST size and threshold, counters for cache traffic, and the
-// per-tree prune harvest.
+// cluster/PST size and threshold, and counters for cache traffic.
 func (e *engine) observeIteration(trace *IterationTrace) {
 	if !e.met.enabled() {
 		return
@@ -126,7 +120,6 @@ func (e *engine) observeIteration(trace *IterationTrace) {
 	for _, c := range e.clusters {
 		nodes += c.tree.NumNodes()
 		bytes += c.tree.EstimatedBytes()
-		e.harvestTree(c)
 	}
 	e.met.pstNodes.Set(float64(nodes))
 	e.met.pstBytes.Set(float64(bytes))

@@ -2,10 +2,12 @@ package core
 
 import (
 	"encoding/json"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"cluseq/internal/obs"
+	"cluseq/internal/pst"
 )
 
 // traceRecord is the subset of a JSONL trace record these tests decode.
@@ -162,5 +164,58 @@ func TestClusterObsMatchesResult(t *testing.T) {
 	}
 	if got := reg.Gauge("cluseq_pst_nodes").Value(); got <= 0 {
 		t.Errorf("pst_nodes gauge = %v, want > 0", got)
+	}
+}
+
+// TestMergeCountsPrunesOnce pins the batch prune counters across a merge
+// consolidation. Two capped seed trees prune on insert; consolidation
+// then dismisses the smaller cluster and merges its tree into the
+// larger, and Merge carries the absorbed tree's PrunedNodes over. Every
+// eviction counts once, so at the iteration's end the node counter
+// reads the survivor's PrunedNodes alone, and the event counter both
+// trees' passes (Merge carries no events over).
+func TestMergeCountsPrunesOnce(t *testing.T) {
+	db := determinismDB(t, 11)
+	cfg, err := Config{
+		Significance: 15, FixedSignificance: true, MaxDepth: 4,
+		MaxPSTBytes: 32 << 10, MergeConsolidation: true, MinDistinct: 1,
+	}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	e := &engine{
+		db:  db,
+		cfg: cfg,
+		treeCfg: pst.Config{
+			AlphabetSize: db.Alphabet.Size(), MaxDepth: cfg.MaxDepth,
+			Significance: cfg.Significance, MaxBytes: cfg.MaxPSTBytes,
+			Prune: cfg.Prune, PMin: 0.25 / float64(db.Alphabet.Size()),
+		},
+		rng:        rand.New(rand.NewPCG(7, 7)),
+		background: db.SymbolFrequencies(),
+		met:        newEngineMetrics(reg, cfg.Prune),
+	}
+	if got := e.generateClusters(2); got != 2 {
+		t.Fatalf("generated %d clusters, want 2", got)
+	}
+	a, b := e.clusters[0], e.clusters[1]
+	// b's only member joins a too, so b keeps nothing distinct.
+	a.members[b.seedIdx] = true
+	e.observeIteration(&IterationTrace{})
+	if got := e.consolidate(); got != 1 || len(e.clusters) != 1 || e.clusters[0] != a {
+		t.Fatalf("consolidation eliminated %d and kept %d clusters; want b merged into a", got, len(e.clusters))
+	}
+	e.observeIteration(&IterationTrace{})
+	if b.tree.PrunedNodes() == 0 {
+		t.Fatal("the absorbed seed tree never pruned; the check would be vacuous")
+	}
+	strategy := cfg.Prune.String()
+	events := reg.Counter("cluseq_pst_prune_events_total", "strategy", strategy).Value()
+	nodes := reg.Counter("cluseq_pst_pruned_nodes_total", "strategy", strategy).Value()
+	wantEvents := a.tree.PruneEvents() + b.tree.PruneEvents()
+	if events != wantEvents || nodes != a.tree.PrunedNodes() {
+		t.Fatalf("prune counters read %d events and %d nodes, want %d and %d (the absorbed tree evicted %d)",
+			events, nodes, wantEvents, a.tree.PrunedNodes(), b.tree.PrunedNodes())
 	}
 }

@@ -221,12 +221,6 @@ func TestPaperFamilyHelpers(t *testing.T) {
 	if len(names) != 30 || names[0] != "ig" {
 		t.Fatalf("PaperFamilyNames = %v", names[:3])
 	}
-	if got := PaperFamilySize("globin"); got != 681 {
-		t.Fatalf("PaperFamilySize(globin) = %d, want 681", got)
-	}
-	if got := PaperFamilySize("nonexistent"); got != 0 {
-		t.Fatalf("PaperFamilySize(nonexistent) = %d, want 0", got)
-	}
 }
 
 func TestLanguageDBShape(t *testing.T) {
@@ -309,9 +303,9 @@ func TestTraceDBShape(t *testing.T) {
 		t.Fatalf("alphabet = %d, want %d syscalls", db.Alphabet.Size(), len(Syscalls))
 	}
 	counts := db.LabelCounts()
-	for _, p := range TraceProfileNames() {
-		if counts[p] != 20 {
-			t.Fatalf("profile %s count = %d, want 20", p, counts[p])
+	for _, p := range traceProfiles {
+		if counts[p.Name] != 20 {
+			t.Fatalf("profile %s count = %d, want 20", p.Name, counts[p.Name])
 		}
 	}
 	unlabeled := 0

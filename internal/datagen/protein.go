@@ -213,13 +213,3 @@ func PaperFamilyNames() []string {
 	}
 	return out
 }
-
-// PaperFamilySize returns the unscaled size of the named family, or 0.
-func PaperFamilySize(name string) int {
-	for _, f := range paperFamilies {
-		if f.Name == name {
-			return f.Size
-		}
-	}
-	return 0
-}

@@ -97,16 +97,6 @@ var traceProfiles = []struct {
 	},
 }
 
-// TraceProfileNames returns the normal profile names (the ground-truth
-// labels of TraceDB).
-func TraceProfileNames() []string {
-	out := make([]string, len(traceProfiles))
-	for i, p := range traceProfiles {
-		out[i] = p.Name
-	}
-	return out
-}
-
 // TraceConfig parameterizes TraceDB.
 type TraceConfig struct {
 	// TracesPerProfile is how many processes of each normal kind are

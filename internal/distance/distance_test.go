@@ -87,48 +87,12 @@ func TestLevenshteinBounds(t *testing.T) {
 			b[i] = seq.Symbol(rb[i] % 4)
 		}
 		d := Levenshtein(a, b)
-		lo := abs(len(a) - len(b))
-		hi := maxInt(len(a), len(b))
+		lo := max(len(a), len(b)) - min(len(a), len(b))
+		hi := max(len(a), len(b))
 		return d >= lo && d <= hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLevenshteinBandedExactWithinBand(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 4))
-	for trial := 0; trial < 60; trial++ {
-		a := randSyms(rng, 20+rng.IntN(20), 4)
-		// b = a with up to 3 random edits → distance ≤ 3 ≤ band 5.
-		b := append([]seq.Symbol(nil), a...)
-		for e := 0; e < rng.IntN(4); e++ {
-			i := rng.IntN(len(b))
-			switch rng.IntN(3) {
-			case 0:
-				b[i] = seq.Symbol(rng.IntN(4))
-			case 1:
-				b = append(b[:i], b[i+1:]...)
-			default:
-				b = append(b[:i], append([]seq.Symbol{seq.Symbol(rng.IntN(4))}, b[i:]...)...)
-			}
-		}
-		exact := Levenshtein(a, b)
-		banded := LevenshteinBanded(a, b, 5)
-		if exact <= 5 && banded != exact {
-			t.Fatalf("banded = %d, exact = %d (within band)", banded, exact)
-		}
-		if banded < exact {
-			t.Fatalf("banded = %d underestimates exact %d", banded, exact)
-		}
-	}
-}
-
-func TestLevenshteinBandedFarLengths(t *testing.T) {
-	a := randSyms(rand.New(rand.NewPCG(1, 1)), 30, 2)
-	b := a[:5]
-	if got := LevenshteinBanded(a, b, 3); got != 30 {
-		t.Fatalf("out-of-band bound = %d, want max length 30", got)
 	}
 }
 

@@ -50,69 +50,6 @@ func Levenshtein(a, b []seq.Symbol) int {
 	return prev[len(b)]
 }
 
-// LevenshteinBanded returns the edit distance restricted to a diagonal band
-// of half-width k — an upper bound on the true distance that is exact
-// whenever the true distance is at most k. It runs in O(k·max(len)) time,
-// which is what makes the ED baseline tolerable on long sequences.
-func LevenshteinBanded(a, b []seq.Symbol, k int) int {
-	n, m := len(a), len(b)
-	if abs(n-m) > k {
-		// The band cannot reach the corner; the distance is at least the
-		// length difference, report the cheapest completion bound.
-		return maxInt(n, m)
-	}
-	const inf = int(^uint(0) >> 1 / 2)
-	width := 2*k + 1
-	prev := make([]int, width)
-	cur := make([]int, width)
-	// prev[d] holds row i−1, column j = i−1 + (d−k).
-	for d := range prev {
-		j := 0 + d - k
-		if j >= 0 && j <= m && j <= k {
-			prev[d] = j
-		} else {
-			prev[d] = inf
-		}
-	}
-	for i := 1; i <= n; i++ {
-		for d := 0; d < width; d++ {
-			j := i + d - k
-			if j < 0 || j > m {
-				cur[d] = inf
-				continue
-			}
-			if j == 0 {
-				cur[d] = i
-				continue
-			}
-			best := inf
-			// substitute/match: prev row, same diagonal index.
-			if prev[d] < inf {
-				cost := 1
-				if a[i-1] == b[j-1] {
-					cost = 0
-				}
-				best = prev[d] + cost
-			}
-			// delete from a: prev row, j unchanged → diagonal d+1.
-			if d+1 < width && prev[d+1] < inf && prev[d+1]+1 < best {
-				best = prev[d+1] + 1
-			}
-			// insert into a: same row, j−1 → diagonal d−1.
-			if d-1 >= 0 && cur[d-1] < inf && cur[d-1]+1 < best {
-				best = cur[d-1] + 1
-			}
-			cur[d] = best
-		}
-		prev, cur = cur, prev
-	}
-	d := m - n + k
-	if d < 0 || d >= width || prev[d] >= inf {
-		return maxInt(n, m)
-	}
-	return prev[d]
-}
-
 // NormalizedLevenshtein returns Levenshtein(a, b) scaled into [0, 1] by the
 // longer length, with two empty sequences at distance 0.
 func NormalizedLevenshtein(a, b []seq.Symbol) float64 {
@@ -121,13 +58,6 @@ func NormalizedLevenshtein(a, b []seq.Symbol) float64 {
 		return 0
 	}
 	return float64(Levenshtein(a, b)) / float64(n)
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func maxInt(a, b int) int {

@@ -220,151 +220,3 @@ func (pr PR) F1() float64 {
 	}
 	return 2 * pr.Precision * pr.Recall / (pr.Precision + pr.Recall)
 }
-
-// Purity returns the weighted majority-label fraction of the clustering:
-// each cluster contributes its dominant label's share of its labeled
-// members, weighted by cluster size. Unlabeled sequences are ignored;
-// sequences in several clusters count once per cluster. 1.0 means every
-// cluster is single-family.
-func Purity(c Clustering, labels []string) (float64, error) {
-	if len(labels) != c.N {
-		return 0, fmt.Errorf("eval: %d labels for %d sequences", len(labels), c.N)
-	}
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	majority, total := 0, 0
-	for _, members := range c.Members {
-		counts := map[string]int{}
-		for _, m := range members {
-			if l := labels[m]; l != "" {
-				counts[l]++
-				total++
-			}
-		}
-		best := 0
-		for _, n := range counts {
-			if n > best {
-				best = n
-			}
-		}
-		majority += best
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	return float64(majority) / float64(total), nil
-}
-
-// AdjustedRandIndex compares two hard assignment vectors (−1 entries are
-// treated as distinct singletons) with the chance-corrected Rand index:
-// 1 for identical partitions, ≈0 for independent ones.
-func AdjustedRandIndex(a, b []int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("eval: ARI length mismatch %d vs %d", len(a), len(b))
-	}
-	n := len(a)
-	if n == 0 {
-		return 1, nil
-	}
-	norm := func(v []int) []int {
-		out := make([]int, len(v))
-		next := 0
-		remap := make(map[int]int)
-		for i, x := range v {
-			if x < 0 {
-				out[i] = next // unique singleton
-				next++
-				continue
-			}
-			if id, ok := remap[x]; ok {
-				out[i] = id
-			} else {
-				remap[x] = next
-				out[i] = next
-				next++
-			}
-		}
-		return out
-	}
-	na, nb := norm(a), norm(b)
-	ka, kb := maxOf(na)+1, maxOf(nb)+1
-	cont := make([][]int, ka)
-	for i := range cont {
-		cont[i] = make([]int, kb)
-	}
-	rowSum := make([]int, ka)
-	colSum := make([]int, kb)
-	for i := 0; i < n; i++ {
-		cont[na[i]][nb[i]]++
-		rowSum[na[i]]++
-		colSum[nb[i]]++
-	}
-	choose2 := func(x int) float64 { return float64(x) * float64(x-1) / 2 }
-	sumIJ, sumA, sumB := 0.0, 0.0, 0.0
-	for i := range cont {
-		sumA += choose2(rowSum[i])
-		for j := range cont[i] {
-			sumIJ += choose2(cont[i][j])
-		}
-	}
-	for j := range colSum {
-		sumB += choose2(colSum[j])
-	}
-	expected := sumA * sumB / choose2(n)
-	maxIdx := (sumA + sumB) / 2
-	if maxIdx == expected {
-		return 1, nil // both partitions trivial (all singletons or one block)
-	}
-	return (sumIJ - expected) / (maxIdx - expected), nil
-}
-
-func maxOf(v []int) int {
-	m := -1
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// ConfusionMatrix tabulates, for hard assignments, how many sequences of
-// each true label landed in each cluster. Row order follows sorted labels;
-// column k is cluster k; the final column counts unclustered sequences.
-func ConfusionMatrix(c Clustering, labels []string) (rows []string, matrix [][]int, err error) {
-	if len(labels) != c.N {
-		return nil, nil, fmt.Errorf("eval: %d labels for %d sequences", len(labels), c.N)
-	}
-	assign := c.Assignments()
-	set := map[string]bool{}
-	for _, l := range labels {
-		if l != "" {
-			set[l] = true
-		}
-	}
-	for l := range set {
-		rows = append(rows, l)
-	}
-	sort.Strings(rows)
-	idx := make(map[string]int, len(rows))
-	for i, l := range rows {
-		idx[l] = i
-	}
-	k := len(c.Members)
-	matrix = make([][]int, len(rows))
-	for i := range matrix {
-		matrix[i] = make([]int, k+1)
-	}
-	for i, l := range labels {
-		if l == "" {
-			continue
-		}
-		col := assign[i]
-		if col < 0 {
-			col = k
-		}
-		matrix[idx[l]][col]++
-	}
-	return rows, matrix, nil
-}

@@ -287,93 +287,3 @@ func TestF1(t *testing.T) {
 		t.Fatalf("perfect F1 = %v", got)
 	}
 }
-
-func TestPurity(t *testing.T) {
-	labels := []string{"x", "x", "y", "y", ""}
-	// Cluster 0 pure x, cluster 1 mixed (1x of... members 2,3 both y plus
-	// outlier 4 (ignored).
-	c := Clustering{N: 5, Members: [][]int{{0, 1}, {2, 3, 4}}}
-	got, err := Purity(c, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("Purity = %v, want 1 (outliers ignored)", got)
-	}
-	// Mixed cluster: {x, x, y} majority 2/3; total weighted: (2+2)/(2+3)?
-	// cluster0 {0,1} majority 2; cluster1 {1? no: members {1,2,3}: labels
-	// x,y,y majority 2. purity = (2+2)/(2+3) = 0.8.
-	c = Clustering{N: 5, Members: [][]int{{0, 1}, {1, 2, 3}}}
-	got, err = Purity(c, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("Purity = %v, want 0.8", got)
-	}
-	if _, err := Purity(Clustering{N: 1}, []string{"a", "b"}); err == nil {
-		t.Fatal("length mismatch should fail")
-	}
-	if _, err := Purity(Clustering{N: 1, Members: [][]int{{5}}}, []string{"a"}); err == nil {
-		t.Fatal("invalid clustering should fail")
-	}
-	got, err = Purity(Clustering{N: 1}, []string{""})
-	if err != nil || got != 0 {
-		t.Fatalf("degenerate purity = %v, %v", got, err)
-	}
-}
-
-func TestAdjustedRandIndex(t *testing.T) {
-	a := []int{0, 0, 1, 1}
-	if got, _ := AdjustedRandIndex(a, a); got != 1 {
-		t.Fatalf("ARI(self) = %v, want 1", got)
-	}
-	b := []int{5, 5, 9, 9} // same partition, renumbered
-	if got, _ := AdjustedRandIndex(a, b); got != 1 {
-		t.Fatalf("ARI(renumbered) = %v, want 1", got)
-	}
-	// Complete disagreement on 4 points in 2v2 blocks.
-	c := []int{0, 1, 0, 1}
-	got, _ := AdjustedRandIndex(a, c)
-	if got >= 0.5 {
-		t.Fatalf("ARI(crossed) = %v, want low", got)
-	}
-	if _, err := AdjustedRandIndex([]int{0}, []int{0, 1}); err == nil {
-		t.Fatal("length mismatch should fail")
-	}
-	if got, _ := AdjustedRandIndex(nil, nil); got != 1 {
-		t.Fatalf("ARI(empty) = %v, want 1", got)
-	}
-}
-
-func TestAdjustedRandIndexUnclustered(t *testing.T) {
-	// −1 entries are singletons: two identical vectors with −1s still
-	// agree perfectly.
-	a := []int{0, 0, -1, 1, -1}
-	if got, _ := AdjustedRandIndex(a, a); got != 1 {
-		t.Fatalf("ARI with -1 = %v, want 1", got)
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	labels := []string{"x", "x", "y", ""}
-	c := Clustering{N: 4, Members: [][]int{{0}, {1, 2}}}
-	rows, m, err := ConfusionMatrix(c, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0] != "x" || rows[1] != "y" {
-		t.Fatalf("rows = %v", rows)
-	}
-	// x: one in cluster 0, one in cluster 1, none unclustered.
-	if m[0][0] != 1 || m[0][1] != 1 || m[0][2] != 0 {
-		t.Fatalf("x row = %v", m[0])
-	}
-	// y: one in cluster 1.
-	if m[1][0] != 0 || m[1][1] != 1 || m[1][2] != 0 {
-		t.Fatalf("y row = %v", m[1])
-	}
-	if _, _, err := ConfusionMatrix(Clustering{N: 1}, []string{"a", "b"}); err == nil {
-		t.Fatal("length mismatch should fail")
-	}
-}

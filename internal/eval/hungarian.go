@@ -1,7 +1,6 @@
 // Package eval provides the clustering-quality measures the paper reports:
 // per-family precision and recall (§6.1), the percentage of correctly
-// labeled sequences (Table 2), plus the adjusted Rand index as a
-// label-free cross-check. Clusters are matched one-to-one to ground-truth
+// labeled sequences (Table 2). Clusters are matched one-to-one to ground-truth
 // families with the Hungarian algorithm so that "correctly labeled" is
 // well defined even when cluster numbering is arbitrary.
 package eval

@@ -157,57 +157,6 @@ func (h *HMM) LogLikelihood(obs []seq.Symbol) float64 {
 	return ll
 }
 
-// Viterbi returns the most likely state path and its log-probability.
-func (h *HMM) Viterbi(obs []seq.Symbol) ([]int, float64) {
-	T := len(obs)
-	if T == 0 {
-		return nil, 0
-	}
-	delta := newMatrix(T, h.N)
-	psi := make([][]int, T)
-	for t := range psi {
-		psi[t] = make([]int, h.N)
-	}
-	for i := 0; i < h.N; i++ {
-		delta[0][i] = safeLog(h.Pi[i]) + safeLog(h.B[i][obs[0]])
-	}
-	for t := 1; t < T; t++ {
-		for j := 0; j < h.N; j++ {
-			best := math.Inf(-1)
-			arg := 0
-			for i := 0; i < h.N; i++ {
-				if v := delta[t-1][i] + safeLog(h.A[i][j]); v > best {
-					best = v
-					arg = i
-				}
-			}
-			delta[t][j] = best + safeLog(h.B[j][obs[t]])
-			psi[t][j] = arg
-		}
-	}
-	best := math.Inf(-1)
-	arg := 0
-	for i := 0; i < h.N; i++ {
-		if delta[T-1][i] > best {
-			best = delta[T-1][i]
-			arg = i
-		}
-	}
-	path := make([]int, T)
-	path[T-1] = arg
-	for t := T - 1; t > 0; t-- {
-		path[t-1] = psi[t][path[t]]
-	}
-	return path, best
-}
-
-func safeLog(x float64) float64 {
-	if x <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(x)
-}
-
 func newMatrix(r, c int) [][]float64 {
 	backing := make([]float64, r*c)
 	m := make([][]float64, r)

@@ -110,78 +110,6 @@ func TestLogLikelihoodNoUnderflow(t *testing.T) {
 	}
 }
 
-func TestViterbiConsistent(t *testing.T) {
-	h := handHMM()
-	obs := []seq.Symbol{0, 0, 1, 1, 1, 0}
-	path, lp := h.Viterbi(obs)
-	if len(path) != len(obs) {
-		t.Fatalf("path length %d, want %d", len(path), len(obs))
-	}
-	// The Viterbi log-probability must equal the path's actual
-	// log-probability and cannot exceed the total likelihood.
-	actual := math.Log(h.Pi[path[0]]) + math.Log(h.B[path[0]][obs[0]])
-	for i := 1; i < len(obs); i++ {
-		actual += math.Log(h.A[path[i-1]][path[i]]) + math.Log(h.B[path[i]][obs[i]])
-	}
-	if math.Abs(lp-actual) > 1e-9 {
-		t.Fatalf("Viterbi score %v != path score %v", lp, actual)
-	}
-	if lp > h.LogLikelihood(obs)+1e-9 {
-		t.Fatalf("Viterbi score %v exceeds total likelihood %v", lp, h.LogLikelihood(obs))
-	}
-	// Emissions strongly identify states here: symbol 0 → state 0.
-	for i, s := range obs {
-		if int(s) != path[i] {
-			t.Fatalf("path %v does not track emissions for obs %v", path, obs)
-		}
-	}
-}
-
-// TestViterbiMatchesBruteForce enumerates all state paths for short
-// observations and checks Viterbi finds the maximum-probability one.
-func TestViterbiMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewPCG(77, 78))
-	for trial := 0; trial < 20; trial++ {
-		h := NewRandom(2+rng.IntN(2), 2+rng.IntN(2), rng)
-		T := 1 + rng.IntN(6)
-		obs := make([]seq.Symbol, T)
-		for i := range obs {
-			obs[i] = seq.Symbol(rng.IntN(h.M))
-		}
-		paths := 1
-		for i := 0; i < T; i++ {
-			paths *= h.N
-		}
-		best := math.Inf(-1)
-		for p := 0; p < paths; p++ {
-			states := make([]int, T)
-			x := p
-			for i := 0; i < T; i++ {
-				states[i] = x % h.N
-				x /= h.N
-			}
-			lp := math.Log(h.Pi[states[0]]) + math.Log(h.B[states[0]][obs[0]])
-			for i := 1; i < T; i++ {
-				lp += math.Log(h.A[states[i-1]][states[i]]) + math.Log(h.B[states[i]][obs[i]])
-			}
-			if lp > best {
-				best = lp
-			}
-		}
-		_, got := h.Viterbi(obs)
-		if math.Abs(got-best) > 1e-9 {
-			t.Fatalf("trial %d: Viterbi %v, brute force %v", trial, got, best)
-		}
-	}
-}
-
-func TestViterbiEmpty(t *testing.T) {
-	path, lp := handHMM().Viterbi(nil)
-	if path != nil || lp != 0 {
-		t.Fatal("empty Viterbi should be nil path, 0 score")
-	}
-}
-
 func TestBaumWelchImprovesLikelihood(t *testing.T) {
 	// EM must never decrease the training likelihood.
 	rng := rand.New(rand.NewPCG(9, 9))

@@ -37,7 +37,7 @@ type Pool struct {
 	// Observability handles (see Instrument). Nil handles are no-ops,
 	// so the fan-out path never branches on "is obs enabled".
 	tasks *obs.Counter   // indices dispatched across all Run calls
-	runs  *obs.Counter   // Run/RunGrain invocations
+	runs  *obs.Counter   // Run invocations
 	wall  *obs.Histogram // per-Run wall time, seconds
 }
 
@@ -71,33 +71,13 @@ func (p *Pool) Instrument(reg *obs.Registry, prefix string) {
 }
 
 // Run executes fn(0) … fn(n−1) and returns when every index is done.
-// Indices are handed out dynamically; fn must be safe for concurrent
-// invocation on distinct indices. Helpers are acquired opportunistically:
-// Run never blocks waiting for a slot.
-//
-// Run dispatches one index per claim — maximal balance, one atomic RMW
-// per item. For large n with cheap per-item work that RMW becomes
-// cross-core traffic on the shared counter's cacheline; use RunGrain to
-// amortize it over chunks.
+// Indices are handed out dynamically, one per claim, which keeps every
+// worker busy however skewed the per-index cost; fn must be safe for
+// concurrent invocation on distinct indices. Helpers are acquired
+// opportunistically: Run never blocks waiting for a slot.
 //
 //cluseq:hotpath
 func (p *Pool) Run(n int, fn func(i int)) {
-	p.RunGrain(n, 1, fn)
-}
-
-// RunGrain is Run with chunked dynamic dispatch: workers claim runs of
-// grain consecutive indices per atomic operation instead of one. Larger
-// grains cut contention on the shared dispatch counter; smaller grains
-// balance skewed per-index cost. grain ≤ 0 selects an automatic grain of
-// n/(8·workers) — 8 claims per worker on average, enough slack for
-// work-stealing to even out moderate skew while keeping counter traffic
-// negligible.
-//
-// Every index in [0, n) is visited exactly once regardless of grain;
-// chunking only changes how indices are batched onto workers.
-//
-//cluseq:hotpath
-func (p *Pool) RunGrain(n, grain int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -109,36 +89,18 @@ func (p *Pool) RunGrain(n, grain int, fn func(i int)) {
 			p.wall.ObserveSince(start)
 		}()
 	}
-	workers := p.extra + 1
-	if grain <= 0 {
-		grain = n / (8 * workers)
-	}
-	if grain < 1 {
-		grain = 1
-	}
 	var next atomic.Int64
 	work := func() { //cluseq:allow hotpath: one closure per Run amortizes over the whole batch
 		for {
-			lo := int(next.Add(int64(grain))) - grain
-			if lo >= n {
+			i := int(next.Add(1)) - 1
+			if i >= n {
 				return
 			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
+			fn(i)
 		}
 	}
-	// At most chunks−1 helpers are useful: the caller covers one chunk
-	// lane itself.
-	chunks := (n + grain - 1) / grain
-	helpers := p.extra
-	if helpers > chunks-1 {
-		helpers = chunks - 1
-	}
+	// At most n−1 helpers are useful: the caller takes one index itself.
+	helpers := min(p.extra, n-1)
 	var wg sync.WaitGroup
 acquire:
 	for j := 0; j < helpers; j++ { //cluseq:allow hotpath: opportunistic helper acquisition is the fan-out itself; never blocks

@@ -23,56 +23,20 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-// TestRunGrainMatchesPerItemDispatch asserts the chunked dispatcher's
-// core contract: for any grain (explicit or auto), RunGrain visits
-// exactly the index set that per-item Run visits — each of [0, n)
-// exactly once, nothing else.
-func TestRunGrainMatchesPerItemDispatch(t *testing.T) {
-	for _, extra := range []int{0, 1, 3, 7} {
-		p := New(extra)
-		for _, n := range []int{0, 1, 2, 5, 100, 1000} {
-			perItem := make([]atomic.Int32, n)
-			p.Run(n, func(i int) { perItem[i].Add(1) })
-			for _, grain := range []int{0, 1, 2, 7, 64, n, n + 13} {
-				chunked := make([]atomic.Int32, n)
-				p.RunGrain(n, grain, func(i int) {
-					if i < 0 || i >= n {
-						t.Errorf("extra=%d n=%d grain=%d: out-of-range index %d", extra, n, grain, i)
-						return
-					}
-					chunked[i].Add(1)
-				})
-				for i := range chunked {
-					if got, want := chunked[i].Load(), perItem[i].Load(); got != want {
-						t.Fatalf("extra=%d n=%d grain=%d: index %d executed %d times, per-item dispatch %d",
-							extra, n, grain, i, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestRunGrainAutoSerialStaysInOrder(t *testing.T) {
-	p := New(0)
-	var order []int
-	p.RunGrain(50, 0, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial chunked run out of order at %d: %v", i, v)
-		}
-	}
-}
-
 func TestRunSerialWhenNoHelpers(t *testing.T) {
 	p := New(0)
 	// With no helper slots every index must run on the caller's
 	// goroutine, in order.
-	var order []int
-	p.Run(50, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial run out of order at %d: %v", i, v)
+	for _, n := range []int{1, 2, 50, 1000} {
+		var order []int
+		p.Run(n, func(i int) { order = append(order, i) })
+		if len(order) != n {
+			t.Fatalf("n=%d: serial run visited %d indices", n, len(order))
+		}
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("n=%d: serial run out of order at %d: %v", n, i, v)
+			}
 		}
 	}
 }
@@ -102,7 +66,7 @@ func TestInstrumentCountsRuns(t *testing.T) {
 	p.Instrument(reg, "pool")
 
 	p.Run(100, func(int) {})
-	p.RunGrain(50, 7, func(int) {})
+	p.Run(50, func(int) {})
 	p.Run(0, func(int) {}) // empty runs are not dispatched or counted
 
 	if got := reg.Counter("pool_runs_total").Value(); got != 2 {

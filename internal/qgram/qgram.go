@@ -83,10 +83,6 @@ func Cosine(a, b *Profile) float64 {
 	return dot / (a.norm * b.norm)
 }
 
-// CosineDistance is 1 − Cosine, a dissimilarity in [0, 1] for the
-// distance-based clusterers.
-func CosineDistance(a, b *Profile) float64 { return 1 - Cosine(a, b) }
-
 // Add accumulates another profile into p (used to maintain cluster
 // centroids in spherical k-means). Panics on mismatched q.
 func (p *Profile) Add(other *Profile) {
@@ -106,12 +102,4 @@ func Empty(q int) *Profile {
 		panic(fmt.Sprintf("qgram: q must be positive, got %d", q))
 	}
 	return &Profile{Q: q, counts: make(map[string]float64)}
-}
-
-// Scale multiplies every count by f (f ≥ 0).
-func (p *Profile) Scale(f float64) {
-	for k := range p.counts {
-		p.counts[k] *= f
-	}
-	p.recomputeNorm()
 }

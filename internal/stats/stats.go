@@ -1,13 +1,11 @@
-// Package stats provides the small numerical routines shared across the
-// repository: simple-linear-regression slopes (used by the similarity
-// threshold valley detector of paper §4.6), summary statistics, and
-// log-domain helpers for multiplying long chains of probability ratios
-// without underflow.
+// Package stats holds the small numerical routines shared across the
+// repository: the least-squares regression slope that the §4.6 valley
+// detector's prefix-sum slopes (package histogram) are checked against,
+// and the median the experiment harness reports.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -37,35 +35,6 @@ func RegressionSlope(xs, ys []float64) float64 {
 	return (sxy - sx*sy/n) / denom
 }
 
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance, or 0 for fewer than two samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the median of xs, or 0 for an empty slice. The input is
 // not modified.
 func Median(xs []float64) float64 {
@@ -79,111 +48,4 @@ func Median(xs []float64) float64 {
 		return tmp[n/2]
 	}
 	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// MinMax returns the smallest and largest element of xs. It panics on an
-// empty slice because there is no sensible zero value.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// LogSumExp returns log(Σ exp(x_i)) computed stably. It returns -Inf for an
-// empty slice (the log of an empty sum).
-func LogSumExp(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	_, max := MinMax(xs)
-	if math.IsInf(max, -1) {
-		return max
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += math.Exp(x - max)
-	}
-	return max + math.Log(sum)
-}
-
-// Normalize scales xs in place so it sums to 1. If the sum is zero or not
-// finite the slice is set to the uniform distribution.
-func Normalize(xs []float64) {
-	if len(xs) == 0 {
-		return
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	if sum <= 0 || math.IsNaN(sum) || math.IsInf(sum, 0) {
-		u := 1 / float64(len(xs))
-		for i := range xs {
-			xs[i] = u
-		}
-		return
-	}
-	for i := range xs {
-		xs[i] /= sum
-	}
-}
-
-// VariationalDistance is Σ|p1(i) − p2(i)| — the first of the two
-// distribution-difference measures the paper's §2 discusses (and rejects
-// for similarity computation on cost grounds; the PST pruning strategy 3
-// uses it between parent and child probability vectors).
-func VariationalDistance(p1, p2 []float64) float64 {
-	if len(p1) != len(p2) {
-		panic(fmt.Sprintf("stats: mismatched distributions: %d vs %d", len(p1), len(p2)))
-	}
-	d := 0.0
-	for i := range p1 {
-		d += math.Abs(p1[i] - p2[i])
-	}
-	return d
-}
-
-// SymmetricKL is the paper §2's J(P1,P2) = Σ (p1−p2)·log(p1/p2), the
-// symmetrized Kullback-Leibler divergence. Entries where either
-// distribution is zero contribute +Inf unless both are zero.
-func SymmetricKL(p1, p2 []float64) float64 {
-	if len(p1) != len(p2) {
-		panic(fmt.Sprintf("stats: mismatched distributions: %d vs %d", len(p1), len(p2)))
-	}
-	d := 0.0
-	for i := range p1 {
-		switch {
-		case p1[i] == p2[i]: // includes both zero
-		case p1[i] == 0 || p2[i] == 0:
-			return math.Inf(1)
-		default:
-			d += (p1[i] - p2[i]) * math.Log(p1[i]/p2[i])
-		}
-	}
-	return d
-}
-
-// ArgMax returns the index of the largest element, breaking ties toward the
-// smallest index. It panics on an empty slice.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		panic("stats: ArgMax of empty slice")
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

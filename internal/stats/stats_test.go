@@ -73,22 +73,6 @@ func TestRegressionSlopeShiftInvariant(t *testing.T) {
 	}
 }
 
-func TestMeanVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); !almost(got, 5) {
-		t.Fatalf("Mean = %v, want 5", got)
-	}
-	if got := Variance(xs); !almost(got, 4) {
-		t.Fatalf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almost(got, 2) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Fatal("degenerate inputs must yield 0")
-	}
-}
-
 func TestMedian(t *testing.T) {
 	if got := Median([]float64{3, 1, 2}); !almost(got, 2) {
 		t.Fatalf("odd median = %v, want 2", got)
@@ -105,105 +89,4 @@ func TestMedian(t *testing.T) {
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatal("Median mutated its input")
 	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 0})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = %v,%v, want -1,7", min, max)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MinMax(nil) should panic")
-		}
-	}()
-	MinMax(nil)
-}
-
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{math.Log(1), math.Log(2), math.Log(3)})
-	if !almost(got, math.Log(6)) {
-		t.Fatalf("LogSumExp = %v, want log 6", got)
-	}
-	// Stability: huge magnitudes must not overflow.
-	got = LogSumExp([]float64{-1e8, -1e8})
-	if !almost(got, -1e8+math.Log(2)) {
-		t.Fatalf("LogSumExp = %v, want %v", got, -1e8+math.Log(2))
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Fatal("empty LogSumExp must be -Inf")
-	}
-	if !math.IsInf(LogSumExp([]float64{math.Inf(-1)}), -1) {
-		t.Fatal("all -Inf LogSumExp must be -Inf")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	xs := []float64{1, 3}
-	Normalize(xs)
-	if !almost(xs[0], 0.25) || !almost(xs[1], 0.75) {
-		t.Fatalf("Normalize = %v", xs)
-	}
-	zeros := []float64{0, 0, 0, 0}
-	Normalize(zeros)
-	for _, v := range zeros {
-		if !almost(v, 0.25) {
-			t.Fatalf("zero Normalize = %v, want uniform", zeros)
-		}
-	}
-	Normalize(nil) // must not panic
-}
-
-func TestVariationalDistance(t *testing.T) {
-	p1 := []float64{0.5, 0.5}
-	p2 := []float64{0.9, 0.1}
-	if got := VariationalDistance(p1, p2); !almost(got, 0.8) {
-		t.Fatalf("V = %v, want 0.8", got)
-	}
-	if got := VariationalDistance(p1, p1); got != 0 {
-		t.Fatalf("self V = %v, want 0", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched lengths should panic")
-		}
-	}()
-	VariationalDistance(p1, []float64{1})
-}
-
-func TestSymmetricKL(t *testing.T) {
-	p1 := []float64{0.5, 0.5}
-	p2 := []float64{0.9, 0.1}
-	// J(P1,P2) = (0.5-0.9)ln(0.5/0.9) + (0.5-0.1)ln(0.5/0.1)
-	want := (0.5-0.9)*math.Log(0.5/0.9) + (0.5-0.1)*math.Log(0.5/0.1)
-	if got := SymmetricKL(p1, p2); !almost(got, want) {
-		t.Fatalf("J = %v, want %v", got, want)
-	}
-	if got := SymmetricKL(p1, p1); got != 0 {
-		t.Fatalf("self J = %v, want 0", got)
-	}
-	// Symmetry.
-	if got := SymmetricKL(p2, p1); !almost(got, want) {
-		t.Fatalf("J asymmetric: %v vs %v", got, want)
-	}
-	// Zero entries diverge.
-	if got := SymmetricKL([]float64{1, 0}, []float64{0.5, 0.5}); !math.IsInf(got, 1) {
-		t.Fatalf("zero-entry J = %v, want +Inf", got)
-	}
-	// Both-zero entries contribute nothing.
-	if got := SymmetricKL([]float64{1, 0}, []float64{1, 0}); got != 0 {
-		t.Fatalf("matching-support J = %v, want 0", got)
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if got := ArgMax([]float64{1, 5, 3, 5}); got != 1 {
-		t.Fatalf("ArgMax = %d, want 1 (first of ties)", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ArgMax(nil) should panic")
-		}
-	}()
-	ArgMax(nil)
 }

@@ -64,9 +64,7 @@ func (e *Engine) consolidateLocked() {
 
 	sp = job.StartSpan("stream_threshold")
 	tBefore := e.thr.Threshold()
-	if !e.cfg.FixedThreshold {
-		e.thr.Adjust(e.simRing[:e.simLen], false)
-	}
+	e.thr.Adjust(e.simRing[:e.simLen], false)
 	t := e.thr.Threshold()
 	// Drift is the threshold's per-consolidation movement: a stationary
 	// stream settles to ~0; sustained non-zero drift means the similarity
@@ -116,7 +114,7 @@ const thresholdHistoryLen = 64
 
 // mergeAndDissolve scans clusters smallest-first (ties: newest first,
 // matching the batch engine's §4.5 order) and, for each, either
-// dissolves it — still under MinClusterSize past the grace period — or
+// dissolves it — still under minClusterSize past the grace period — or
 // absorbs it into the first larger cluster whose threshold at least
 // MergeFraction of its reservoir clears. Merging sums the tree
 // statistics (pst.Tree.Merge), so the absorbed evidence keeps scoring.
@@ -140,7 +138,7 @@ func (e *Engine) mergeAndDissolve() (merged, dissolved int) {
 	dropped := make([]bool, len(e.clusters))
 	for pos, ci := range idx {
 		c := e.clusters[ci]
-		if c.size < int64(e.cfg.MinClusterSize) && e.ingested-c.createdAt >= int64(e.cfg.DissolveAfter) {
+		if c.size < minClusterSize && e.ingested-c.createdAt >= int64(e.cfg.DissolveAfter) {
 			dropped[ci] = true
 			dissolved++
 			e.dissolves++
@@ -208,7 +206,7 @@ func (e *Engine) covers(c, target *scluster) bool {
 	reaches := func(covered int) bool { return float64(covered)/float64(n) >= e.cfg.MergeFraction }
 	covered := 0
 	for i, syms := range c.reservoir {
-		if e.normLogSim(e.score(target, syms), len(syms)) >= e.thr.LogT {
+		if normLogSim(e.score(target, syms), len(syms)) >= e.thr.LogT {
 			covered++
 			if reaches(covered) {
 				return true
@@ -270,7 +268,7 @@ func (e *Engine) publishLocked() {
 		trees[i] = c.tree.Clone()
 		snaps[i] = c.snap
 	}
-	clf, err := core.NewClassifierFromParts(trees, snaps, e.cfg.Alphabet, e.background, e.thr.Threshold(), e.cfg.RawSimilarity)
+	clf, err := core.NewClassifierFromParts(trees, snaps, e.cfg.Alphabet, e.background, e.thr.Threshold())
 	if err != nil {
 		// Unreachable with engine-built parts; surface loudly if not.
 		panic(err)
@@ -335,16 +333,4 @@ func (e *Engine) Stats() Stats {
 		st.PSTBytes += c.tree.EstimatedBytes()
 	}
 	return st
-}
-
-// ClusterIDs returns the live cluster IDs in creation order; tests use
-// it to assert model evolution without reaching into engine internals.
-func (e *Engine) ClusterIDs() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]int, len(e.clusters))
-	for i, c := range e.clusters {
-		out[i] = c.id
-	}
-	return out
 }

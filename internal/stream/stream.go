@@ -44,12 +44,9 @@ type Config struct {
 	// Alphabet encodes incoming sequences and is carried into every
 	// published classifier. Required.
 	Alphabet *seq.Alphabet
-	// SimilarityThreshold is the initial t (see core.Config). Default 1.5.
+	// SimilarityThreshold is the initial t (see core.Config), compared
+	// against per-symbol normalized similarities. Default 1.5.
 	SimilarityThreshold float64
-	// RawSimilarity disables per-symbol normalization (see core.Config).
-	RawSimilarity bool
-	// FixedThreshold disables the §4.6 adjustment at consolidation time.
-	FixedThreshold bool
 	// MaxDepth, Significance, MaxPSTBytes, Prune, PMin, Shrinkage, and
 	// FixedSignificance parameterize the per-cluster suffix trees exactly
 	// as in core.Config. MaxPSTBytes is the §5.1 memory cap, enforced by
@@ -61,13 +58,6 @@ type Config struct {
 	PMin              float64
 	Shrinkage         float64
 	FixedSignificance bool
-	// InsertWhole inserts a joining sequence's entire symbol string
-	// instead of only its best-scoring segment (see core.Config).
-	InsertWhole bool
-	// HistogramBuckets and Valley parameterize the §4.6 threshold
-	// histogram (see core.Config). Defaults 100 and ValleyAuto.
-	HistogramBuckets int
-	Valley           core.ValleyEstimator
 	// ConsolidateEvery is the consolidation cadence in ingests: after
 	// every ConsolidateEvery arrivals the engine merges, dissolves,
 	// re-thresholds, and publishes. Count-based so a replayed stream
@@ -78,32 +68,17 @@ type Config struct {
 	// so an idle stream still publishes its tail. Wall-clock triggers are
 	// inherently schedule-dependent; leave zero for deterministic replay.
 	FlushInterval time.Duration
-	// MaxClusters bounds the live cluster count: arrivals that clear no
-	// threshold once the cap is reached are rejected instead of founding
-	// new clusters. Zero means 1024 (a memory backstop, not a tuning
-	// knob — consolidation keeps real workloads far below it).
-	MaxClusters int
-	// MinClusterSize is the §4.5-style support floor: clusters still
-	// smaller than this DissolveAfter ingests past their creation are
-	// dissolved at consolidation. Default 2.
-	MinClusterSize int
-	// DissolveAfter is the dissolve grace period in ingests. Default
-	// 2·ConsolidateEvery (a stillborn cluster survives roughly two
-	// consolidations to attract members).
+	// DissolveAfter is the dissolve grace period in ingests: a cluster
+	// that has absorbed fewer than two sequences this long after its
+	// founding is dissolved at consolidation. Default 2·ConsolidateEvery
+	// (a stillborn cluster survives roughly two consolidations to
+	// attract members).
 	DissolveAfter int
 	// MergeFraction is the coverage level at which a cluster is absorbed
 	// by a larger one: when at least this fraction of the smaller
 	// cluster's reservoir clears the larger cluster's threshold, the
 	// trees are merged (pst.Tree.Merge). Default 0.6.
 	MergeFraction float64
-	// ReservoirSize bounds the per-cluster ring of recent member
-	// sequences kept for merge decisions. Default 32.
-	ReservoirSize int
-	// SimWindow bounds the sliding window of recent sequence-cluster
-	// log-similarities feeding the §4.6 histogram. Default 4096, raised
-	// to 2·HistogramBuckets when smaller (below that the adjuster never
-	// fires).
-	SimWindow int
 	// Workers bounds the scoring fan-out parallelism within one ingest;
 	// 0 uses GOMAXPROCS, 1 forces serial scoring. Any value produces
 	// bit-identical cluster models.
@@ -166,26 +141,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Shrinkage < 0 {
 		c.Shrinkage = 0
 	}
-	if c.HistogramBuckets == 0 {
-		c.HistogramBuckets = 100
-	}
-	if c.HistogramBuckets < 3 {
-		return c, fmt.Errorf("stream: HistogramBuckets must be at least 3, got %d", c.HistogramBuckets)
-	}
 	if c.ConsolidateEvery == 0 {
 		c.ConsolidateEvery = 256
 	}
 	if c.ConsolidateEvery < 1 {
 		return c, fmt.Errorf("stream: ConsolidateEvery must be positive, got %d", c.ConsolidateEvery)
-	}
-	if c.MaxClusters == 0 {
-		c.MaxClusters = 1024
-	}
-	if c.MaxClusters < 1 {
-		return c, fmt.Errorf("stream: MaxClusters must be positive, got %d", c.MaxClusters)
-	}
-	if c.MinClusterSize == 0 {
-		c.MinClusterSize = 2
 	}
 	if c.DissolveAfter == 0 {
 		c.DissolveAfter = 2 * c.ConsolidateEvery
@@ -196,20 +156,26 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MergeFraction < 0 || c.MergeFraction > 1 {
 		return c, fmt.Errorf("stream: MergeFraction must be in [0, 1], got %v", c.MergeFraction)
 	}
-	if c.ReservoirSize == 0 {
-		c.ReservoirSize = 32
-	}
-	if c.ReservoirSize < 1 {
-		return c, fmt.Errorf("stream: ReservoirSize must be positive, got %d", c.ReservoirSize)
-	}
-	if c.SimWindow == 0 {
-		c.SimWindow = 4096
-	}
-	if c.SimWindow < 2*c.HistogramBuckets {
-		c.SimWindow = 2 * c.HistogramBuckets
-	}
 	return c, nil
 }
+
+const (
+	// maxClusters bounds the live cluster count: an arrival that clears
+	// no threshold once the cap is reached is rejected instead of
+	// founding a cluster. A memory backstop, not a tuning knob:
+	// consolidation keeps real workloads far below it.
+	maxClusters = 1024
+	// minClusterSize is the §4.5-style support floor: a cluster still
+	// smaller than this Config.DissolveAfter ingests past its founding is
+	// dissolved at consolidation.
+	minClusterSize = 2
+	// reservoirSize bounds the per-cluster ring of recent member
+	// sequences kept for merge decisions.
+	reservoirSize = 32
+	// simWindow bounds the sliding window of recent sequence-cluster
+	// log-similarities feeding the §4.6 histogram.
+	simWindow = 4096
+)
 
 // Status classifies one ingest outcome.
 type Status string
@@ -347,16 +313,16 @@ func New(cfg Config) (*Engine, error) {
 		treeCfg:    treeCfg,
 		background: make([]float64, n),
 		symCounts:  make([]int64, n),
+		// Buckets and Valley stay zero: the §4.6 histogram's default 100
+		// buckets and ValleyAuto.
 		thr: core.ThresholdAdjuster{
-			LogT:    math.Log(cfg.SimilarityThreshold),
-			Buckets: cfg.HistogramBuckets,
-			Valley:  cfg.Valley,
+			LogT: math.Log(cfg.SimilarityThreshold),
 			// Non-sticky: a stream's similarity distribution drifts, so the
 			// threshold must keep tracking it; the per-consolidation delta
 			// is surfaced as the drift metric.
 			Sticky: false,
 		},
-		simRing: make([]float64, cfg.SimWindow),
+		simRing: make([]float64, simWindow),
 	}
 	for s := range e.background {
 		e.background[s] = 1 / float64(n)
@@ -420,7 +386,7 @@ func (e *Engine) flushLoop() {
 
 // adoptResume rebuilds the engine's live state from a persisted
 // snapshot (see Config.Resume). Resumed clusters get ids 0..n-1 in
-// bundle order and a size of MinClusterSize so the dissolve rule does
+// bundle order and a size of minClusterSize so the dissolve rule does
 // not treat them as stillborn the moment they return.
 func (e *Engine) adoptResume(clf *core.Classifier) error {
 	trees := clf.Trees()
@@ -431,8 +397,8 @@ func (e *Engine) adoptResume(clf *core.Classifier) error {
 	if info.Alphabet != e.cfg.Alphabet.String() {
 		return fmt.Errorf("stream: Resume alphabet %q does not match engine alphabet %q", info.Alphabet, e.cfg.Alphabet.String())
 	}
-	if info.RawSimilarity != e.cfg.RawSimilarity {
-		return fmt.Errorf("stream: Resume raw-similarity %v does not match engine configuration %v", info.RawSimilarity, e.cfg.RawSimilarity)
+	if info.RawSimilarity {
+		return fmt.Errorf("stream: Resume classifier compares raw similarities; the stream compares per-symbol normalized ones")
 	}
 	bg := clf.Background()
 	if len(bg) != e.cfg.Alphabet.Size() {
@@ -450,7 +416,7 @@ func (e *Engine) adoptResume(clf *core.Classifier) error {
 		c := &scluster{
 			id:   i,
 			tree: t.Clone(),
-			size: int64(e.cfg.MinClusterSize),
+			size: minClusterSize,
 		}
 		c.snap = c.tree.CompileSnapshot(e.background)
 		e.met.snapshotCompiles.Inc()
@@ -593,7 +559,7 @@ func (e *Engine) ingestLocked(syms []seq.Symbol) Verdict {
 	e.forEachWorker(n, func(i int) {
 		sim := e.score(e.clusters[i], syms)
 		e.sims[i] = sim
-		e.norms[i] = e.normLogSim(sim, len(syms))
+		e.norms[i] = normLogSim(sim, len(syms))
 	})
 
 	// Serial selection: first maximum wins, so the verdict is independent
@@ -617,18 +583,14 @@ func (e *Engine) ingestLocked(syms []seq.Symbol) Verdict {
 	case best >= 0 && bestNorm >= e.thr.LogT:
 		c := e.clusters[best]
 		events, nodes := c.tree.PruneEvents(), c.tree.PrunedNodes()
-		if e.cfg.InsertWhole {
-			c.tree.Insert(syms)
-		} else {
-			c.tree.Insert(syms[e.sims[best].Start:e.sims[best].End])
-		}
+		c.tree.Insert(syms[e.sims[best].Start:e.sims[best].End])
 		e.met.countPrunes(c.tree, events, nodes)
 		c.size++
 		e.pushReservoir(c, syms)
 		e.accepted++
 		e.met.accepted.Inc()
 		v.Status, v.Cluster = StatusAccepted, c.id
-	case len(e.clusters) < e.cfg.MaxClusters:
+	case len(e.clusters) < maxClusters:
 		c := &scluster{
 			id:        e.nextID,
 			tree:      e.newTree(),
@@ -650,7 +612,7 @@ func (e *Engine) ingestLocked(syms []seq.Symbol) Verdict {
 		e.rejected++
 		e.met.rejected.Inc()
 		v.Status, v.Cluster = StatusRejected, -1
-		v.Reason = fmt.Sprintf("below threshold and cluster cap %d reached", e.cfg.MaxClusters)
+		v.Reason = fmt.Sprintf("below threshold and cluster cap %d reached", maxClusters)
 	}
 
 	e.sinceConsol++
@@ -678,7 +640,7 @@ func (e *Engine) pushSim(norm float64) {
 //cluseq:deterministic
 func (e *Engine) pushReservoir(c *scluster, syms []seq.Symbol) {
 	cp := append([]seq.Symbol(nil), syms...)
-	if len(c.reservoir) < e.cfg.ReservoirSize {
+	if len(c.reservoir) < reservoirSize {
 		c.reservoir = append(c.reservoir, cp)
 		return
 	}
@@ -691,8 +653,8 @@ func (e *Engine) pushReservoir(c *scluster, syms []seq.Symbol) {
 //
 //cluseq:hotpath
 //cluseq:deterministic
-func (e *Engine) normLogSim(sim pst.Similarity, seqLen int) float64 {
-	if e.cfg.RawSimilarity || seqLen == 0 {
+func normLogSim(sim pst.Similarity, seqLen int) float64 {
+	if seqLen == 0 {
 		return sim.LogSim
 	}
 	return sim.LogSim / float64(seqLen)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"cluseq/internal/core"
@@ -76,6 +77,41 @@ func TestIngestVerdicts(t *testing.T) {
 	st := e.Stats()
 	if st.Ingested != 13 || st.Rejected != 2 || st.Clusters == 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestClusterCapRejects founds maxClusters clusters, none of which any
+// arrival can join, and checks that the next arrival is rejected instead
+// of founding one more.
+func TestClusterCapRejects(t *testing.T) {
+	alphabet := seq.MustAlphabet("abcdefghijkl")
+	cfg := streamTestConfig(t, alphabet)
+	cfg.SimilarityThreshold = 1e9  // no arrival joins a cluster
+	cfg.ConsolidateEvery = 1 << 20 // no pass merges or dissolves one
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rng := rand.New(rand.NewPCG(3, 4))
+	arrival := func() []seq.Symbol {
+		syms := make([]seq.Symbol, 12)
+		for i := range syms {
+			syms[i] = seq.Symbol(rng.IntN(alphabet.Size()))
+		}
+		return syms
+	}
+	for i := 0; i < maxClusters; i++ {
+		if v := e.Ingest(arrival()); v.Status != StatusNewCluster {
+			t.Fatalf("arrival %d = %+v, want a new cluster", i, v)
+		}
+	}
+	v := e.Ingest(arrival())
+	if v.Status != StatusRejected || v.Cluster != -1 || !strings.Contains(v.Reason, fmt.Sprintf("cluster cap %d reached", maxClusters)) {
+		t.Fatalf("arrival past the cap = %+v, want a cap rejection", v)
+	}
+	if st := e.Stats(); st.Clusters != maxClusters || st.NewClusters != maxClusters || st.Rejected != 1 {
+		t.Fatalf("stats = %+v, want %d clusters and 1 rejection", st, maxClusters)
 	}
 }
 
@@ -361,6 +397,35 @@ func TestResumeRejectsUnusableBundles(t *testing.T) {
 	bad.Resume = lastClf
 	if _, err := New(bad); err == nil {
 		t.Fatal("depth-mismatched Resume accepted")
+	}
+
+	// A batch model that compares raw similarities: the stream compares
+	// per-symbol normalized ones.
+	db, _ := syntheticStream(t, 60)
+	rawCfg := core.Config{
+		RawSimilarity: true, KeepTrees: true, Workers: 1,
+		MaxDepth: cfg.MaxDepth, Significance: cfg.Significance, FixedSignificance: true,
+	}
+	res, err := core.Cluster(db, rawCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawClf, err := core.NewClassifier(db, res, rawCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := rawClf.SaveBundle(&buf, core.BundleOptions{WithTrees: true}); err != nil {
+		t.Fatal(err)
+	}
+	rawLoaded, err := core.LoadClassifierBytes(buf.Bytes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad = streamTestConfig(t, db.Alphabet)
+	bad.Resume = rawLoaded
+	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "raw") {
+		t.Fatalf("raw-similarity Resume: err = %v, want a raw-similarity refusal", err)
 	}
 }
 

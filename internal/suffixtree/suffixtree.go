@@ -235,88 +235,3 @@ func (t *Tree) NumNodes() int {
 	}
 	return count
 }
-
-// LongestCommonSegment returns one longest segment common to the two
-// sequences, computed through a generalized suffix tree of both (the
-// classic linear-space LCS-by-suffix-tree construction): the deepest node
-// whose subtree contains suffixes of each sequence.
-func LongestCommonSegment(a, b []seq.Symbol) []seq.Symbol {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	t := New()
-	t.Add(a)
-	t.Add(b)
-	// A leaf belongs to sequence 0 or 1 according to which terminator its
-	// edge (eventually) contains. Terminators are -1 and -2 at positions
-	// len(a) and len(a)+1+len(b) of the concatenated text.
-	term0 := len(a)
-	var best []seq.Symbol
-	label := make([]seq.Symbol, 0, len(a))
-	// Post-order DFS carrying the running root-to-node label; a node whose
-	// subtree holds suffixes of both sequences (mask 3) and whose label is
-	// terminator-free is a common segment.
-	var rec func(n *node) int
-	rec = func(n *node) int {
-		if n.isLeaf() {
-			// Leaves created during the first sequence's phases (edge label
-			// starting at or before its terminator) are its suffixes.
-			if n.start <= term0 {
-				return 1
-			}
-			return 2
-		}
-		m := 0
-		for _, c := range n.children {
-			// Push c's edge label (stopping at any terminator: labels
-			// containing one cannot be common segments, and unique
-			// terminators never label internal edges anyway).
-			end := c.end
-			if end > len(t.text) {
-				end = len(t.text)
-			}
-			pushed := 0
-			clean := true
-			for _, sym := range t.text[c.start:end] {
-				if sym < 0 {
-					clean = false
-					break
-				}
-				label = append(label, seq.Symbol(sym))
-				pushed++
-			}
-			cm := rec(c)
-			m |= cm
-			if clean && cm == 3 && len(label) > len(best) {
-				best = append(best[:0:0], label...)
-			}
-			label = label[:len(label)-pushed]
-		}
-		return m
-	}
-	rec(t.root)
-	return best
-}
-
-// DistinctSubstrings returns the number of distinct non-empty segments
-// (terminators excluded from queries but included in edges are avoided by
-// construction only when sequences avoid them) across all added sequences
-// of a single-sequence tree. For generalized trees the count includes
-// terminator-containing suffix fragments and is primarily useful for
-// single-sequence analyses and tests.
-func (t *Tree) DistinctSubstrings() int {
-	textLen := len(t.text)
-	total := 0
-	stack := []*node{t.root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n != t.root {
-			total += n.edgeLen(textLen)
-		}
-		for _, c := range n.children {
-			stack = append(stack, c)
-		}
-	}
-	return total
-}

@@ -149,31 +149,6 @@ func TestCountMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestDistinctSubstrings verifies the edge-length sum against a brute-force
-// enumeration. For a single sequence of length n, the tree's text is s plus
-// one terminator, contributing exactly n+1 extra distinct
-// terminator-containing suffixes.
-func TestDistinctSubstrings(t *testing.T) {
-	brute := func(s string) int {
-		set := make(map[string]bool)
-		for i := 0; i < len(s); i++ {
-			for j := i + 1; j <= len(s); j++ {
-				set[s[i:j]] = true
-			}
-		}
-		return len(set)
-	}
-	a := seq.MustAlphabet("abc")
-	for _, s := range []string{"a", "aa", "ab", "abcabc", "aabbcc", "abababab", "ccccc"} {
-		tr := New()
-		tr.Add(encode(t, a, s))
-		got := tr.DistinctSubstrings() - (len(s) + 1)
-		if want := brute(s); got != want {
-			t.Errorf("DistinctSubstrings(%q) = %d, want %d", s, got, want)
-		}
-	}
-}
-
 // TestSuffixesAllPresent is the defining suffix tree property: every suffix
 // of every added sequence is contained.
 func TestSuffixesAllPresent(t *testing.T) {
@@ -213,89 +188,6 @@ func TestNumNodesLinear(t *testing.T) {
 	n := len(s) + 1 // including terminator
 	if got := tr.NumNodes(); got > 2*n {
 		t.Fatalf("NumNodes = %d, exceeds 2n = %d", got, 2*n)
-	}
-}
-
-// bruteLCS is the O(n·m) longest-common-substring DP.
-func bruteLCS(a, b string) int {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	best := 0
-	for i := 1; i <= len(a); i++ {
-		for j := 1; j <= len(b); j++ {
-			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > best {
-					best = cur[j]
-				}
-			} else {
-				cur[j] = 0
-			}
-		}
-		prev, cur = cur, prev
-	}
-	return best
-}
-
-func TestLongestCommonSegmentBasic(t *testing.T) {
-	a := seq.MustAlphabet("abcdefxyz")
-	cases := []struct {
-		x, y, want string
-	}{
-		{"abcdef", "zzabczz", "abc"},
-		{"abcdef", "xyz", ""},
-		{"aaaa", "aa", "aa"},
-		{"abab", "baba", "aba"}, // or bab; same length
-	}
-	for _, c := range cases {
-		x := encode(t, a, c.x)
-		y := encode(t, a, c.y)
-		got := LongestCommonSegment(x, y)
-		if len(got) != len(c.want) {
-			t.Errorf("LCS(%q,%q) = %q (len %d), want length %d",
-				c.x, c.y, a.Decode(got), len(got), len(c.want))
-		}
-		// The result must be a substring of both.
-		if len(got) > 0 {
-			gs := a.Decode(got)
-			if !strings.Contains(c.x, gs) || !strings.Contains(c.y, gs) {
-				t.Errorf("LCS(%q,%q) = %q is not common", c.x, c.y, gs)
-			}
-		}
-	}
-	if got := LongestCommonSegment(nil, encode(t, a, "abc")); got != nil {
-		t.Errorf("LCS with empty input = %v, want nil", got)
-	}
-}
-
-func TestLongestCommonSegmentMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 18))
-	alpha := "abc"
-	a := seq.MustAlphabet(alpha)
-	for trial := 0; trial < 60; trial++ {
-		mk := func() string {
-			n := 1 + rng.IntN(40)
-			var sb strings.Builder
-			for i := 0; i < n; i++ {
-				sb.WriteByte(alpha[rng.IntN(len(alpha))])
-			}
-			return sb.String()
-		}
-		x, y := mk(), mk()
-		got := LongestCommonSegment(encode(t, a, x), encode(t, a, y))
-		want := bruteLCS(x, y)
-		if len(got) != want {
-			t.Fatalf("LCS(%q,%q) length = %d, want %d (%q)", x, y, len(got), want, a.Decode(got))
-		}
-		if len(got) > 0 {
-			gs := a.Decode(got)
-			if !strings.Contains(x, gs) || !strings.Contains(y, gs) {
-				t.Fatalf("LCS(%q,%q) = %q not common", x, y, gs)
-			}
-		}
 	}
 }
 

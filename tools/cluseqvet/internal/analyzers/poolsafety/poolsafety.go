@@ -1,5 +1,5 @@
 // Package poolsafety enforces the read-only-scoring/serial-apply rule
-// on pool fan-outs: a closure passed to (*pool.Pool).Run/RunGrain (or to
+// on pool fan-outs: a closure passed to (*pool.Pool).Run (or to
 // any //cluseq:fanout-annotated function) runs concurrently for every
 // task index, so it may only write state that is partitioned by its own
 // index — element writes whose index derives from the closure's
@@ -18,7 +18,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "poolsafety",
-	Doc:  "check closures passed to pool.Run*/fanout functions for non-index-partitioned writes",
+	Doc:  "check closures passed to pool.Run/fanout functions for non-index-partitioned writes",
 	Run:  run,
 }
 
@@ -48,14 +48,14 @@ func run(pass *analysis.Pass) error {
 }
 
 // fanoutCall reports whether call dispatches closures across task
-// indices: a method on *pool.Pool named Run/RunGrain, or any function
+// indices: a method on *pool.Pool named Run, or any function
 // annotated //cluseq:fanout.
 func fanoutCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	f := analysis.Callee(pass.Info, call)
 	if f == nil || f.Pkg() == nil {
 		return "", false
 	}
-	if f.Name() == "Run" || f.Name() == "RunGrain" {
+	if f.Name() == "Run" {
 		if sig, ok := f.Type().(*types.Signature); ok && sig.Recv() != nil {
 			recv := sig.Recv().Type()
 			if p, ok := recv.(*types.Pointer); ok {

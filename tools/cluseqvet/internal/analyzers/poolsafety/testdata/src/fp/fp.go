@@ -19,7 +19,7 @@ func good(xs []float64) []float64 {
 
 func derivedIndex(xs []float64, order []int) []float64 {
 	out := make([]float64, len(xs))
-	pool.New(4).RunGrain(len(xs), 8, func(i int) {
+	pool.New(4).Run(len(xs), func(i int) {
 		j := order[i]
 		out[j] = xs[j] // fine: j derives from the task index
 	})

@@ -9,5 +9,3 @@ func (p *Pool) Run(n int, fn func(int)) {
 		fn(i)
 	}
 }
-
-func (p *Pool) RunGrain(n, grain int, fn func(int)) { p.Run(n, fn) }
