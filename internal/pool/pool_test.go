@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cluseq/internal/obs"
 )
@@ -20,6 +21,76 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunGrainMatchesPerItemDispatch checks that Run claims one index
+// at a time. It runs w = extra+1 indices, and each one waits until all
+// w are running at once. That can happen only if every worker holds
+// exactly one index. If a worker claimed a chunk of two or more, the
+// barrier would never fill. (The name comes from the chunked RunGrain
+// dispatcher that Run replaced; Run always dispatches per item.)
+func TestRunGrainMatchesPerItemDispatch(t *testing.T) {
+	for _, extra := range []int{1, 3, 7} {
+		p := New(extra)
+		n := extra + 1
+		var arrived sync.WaitGroup
+		arrived.Add(n)
+		all := make(chan struct{})
+		go func() { arrived.Wait(); close(all) }()
+		hits := make([]atomic.Int32, n)
+		p.Run(n, func(i int) {
+			if i < 0 || i >= n {
+				t.Errorf("extra=%d: out-of-range index %d", extra, i)
+				return
+			}
+			hits[i].Add(1)
+			arrived.Done()
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				t.Errorf("extra=%d: index %d never ran alongside the other %d", extra, i, n-1)
+			}
+		})
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("extra=%d: index %d executed %d times", extra, i, got)
+			}
+		}
+	}
+}
+
+// TestRunGrainAutoSerialStaysInOrder checks that a Run which finds
+// every helper slot taken falls back to the caller's goroutine on its
+// own: it neither waits for a slot nor skips an index, and it visits
+// the indices in order. (The name comes from RunGrain's automatic
+// grain; the fallback to serial is what remains of it in Run.)
+func TestRunGrainAutoSerialStaysInOrder(t *testing.T) {
+	p := New(2)
+	for j := 0; j < p.Size(); j++ {
+		p.slots <- struct{}{} // another batch holds every helper
+	}
+	var order []int
+	done := make(chan struct{})
+	go func() {
+		p.Run(50, func(i int) { order = append(order, i) })
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run on a saturated pool waited for a helper slot")
+	}
+	if len(order) != 50 {
+		t.Fatalf("saturated run visited %d indices, want 50", len(order))
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("saturated run out of order at %d: %v", i, v)
+		}
+	}
+	for j := 0; j < p.Size(); j++ {
+		<-p.slots
 	}
 }
 
