@@ -443,7 +443,7 @@ func LoadClassifierBytes(data []byte, owner any) (*Classifier, error) {
 			if tree == nil {
 				return nil, fmt.Errorf("core: v3 section snapshot[%d] delegates to its tree, but the bundle has no section tree[%d]", i, i)
 			}
-			c.snaps[i] = tree.CompileSnapshot(c.background)
+			c.snaps[i] = tree.CompileSnapshot(c.background).Detached()
 		default:
 			return nil, fmt.Errorf("core: v3 section snapshot[%d]: %w", i, err)
 		}

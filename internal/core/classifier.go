@@ -147,7 +147,7 @@ func NewClassifierFromParts(trees []*pst.Tree, snaps []*pst.Snapshot, alphabet *
 		if snaps != nil && snaps[i] != nil {
 			c.snaps[i] = snaps[i].Detached()
 		} else {
-			c.snaps[i] = tree.CompileSnapshot(c.background)
+			c.snaps[i] = tree.CompileSnapshot(c.background).Detached()
 		}
 	}
 	return c, nil
@@ -155,10 +155,12 @@ func NewClassifierFromParts(trees []*pst.Tree, snaps []*pst.Snapshot, alphabet *
 
 // compileSnapshots freezes every tree into its scoring snapshot; called
 // once per constructor, before the classifier is published to callers.
+// A classifier never changes its background, so it keeps each snapshot
+// Detached, without the ln P̂ rows only a refold reads.
 func (c *Classifier) compileSnapshots() {
 	c.snaps = make([]*pst.Snapshot, len(c.trees))
 	for i, tree := range c.trees {
-		c.snaps[i] = tree.CompileSnapshot(c.background)
+		c.snaps[i] = tree.CompileSnapshot(c.background).Detached()
 	}
 }
 

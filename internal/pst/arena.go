@@ -2,15 +2,16 @@ package pst
 
 // Arena layout of compiled scoring snapshots.
 //
-// A Snapshot's entire state — node transition structure, prediction row
-// indices, folded log-ratio tables, background distribution — lives in
-// one contiguous byte slab (the arena). The serialized form of a
-// snapshot IS the arena: Save writes the slab verbatim, and on a
-// little-endian host the loader reconstructs every typed slice as a
-// zero-copy view into the same bytes. That identity is what lets the
-// model registry mmap a bundle file and serve it without allocating,
-// copying, or touching the garbage collector (bundle format v3,
-// DESIGN.md §14).
+// A Snapshot's scan state — node transition structure, prediction row
+// indices, folded log-ratio tables, background distribution — is
+// serialized as one contiguous byte slab (the arena). On a little-endian
+// host the loader reconstructs every typed slice as a zero-copy view
+// into the slab's bytes, so a loaded snapshot's in-memory form IS its
+// serialized form. That identity is what lets the model registry mmap a
+// bundle file and serve it without allocating, copying, or touching the
+// garbage collector (bundle format v3, DESIGN.md §14). A compiled
+// snapshot holds the same tables as ordinary slices, and Arena writes
+// them into this layout when a bundle is saved.
 //
 // Layout (all integers little-endian):
 //
@@ -59,7 +60,7 @@ package pst
 // Snapshot); rows counts the real nodes' score rows only. A shrinkage
 // tree compiles like any other, with one row per real node.
 //
-// CompileSnapshot writes no flags. Two layouts older writers produced
+// Arena writes no flags. Two layouts older writers produced
 // still load: flag bit 0 marks a descend arena — a pruned tree compiled
 // for root-down descent, with the child sections in place of
 // nodeTrans/parent/denseTrans/csr* — which SnapshotFromArena converts
@@ -71,6 +72,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"unsafe"
 
 	"cluseq/internal/seq"
@@ -379,16 +381,16 @@ func viewF64s(b []byte, count int64) []float64 {
 	return out
 }
 
-// buildArena packs the compiled snapshot data into one checksummed
-// slab and returns it together with its decoded header.
-func buildArena(h arenaHeader, fill func(offs [numArenaSections]int64, arena []byte)) ([]byte, arenaHeader) {
+// buildArena packs the sections fill writes into one checksummed slab
+// under header h.
+func buildArena(h arenaHeader, fill func(offs [numArenaSections]int64, arena []byte)) []byte {
 	offs, total := h.offsets()
 	h.arenaLen = uint64(total)
 	arena := alignedBytes(total)
 	fill(offs, arena)
 	h.crc = crc32.Checksum(arena[arenaHeaderLen:], castagnoli)
 	h.encode(arena[:arenaHeaderLen])
-	return arena, h
+	return arena
 }
 
 // attach wires the snapshot's typed slices onto the arena according to
@@ -398,7 +400,7 @@ func (s *Snapshot) attach(arena []byte, h *arenaHeader) {
 	secs := h.sections()
 	sec := func(i int) []byte { return arena[offs[i]:] }
 	s.arena = arena
-	s.n = int(h.n)
+	s.n, s.maxDepth = int(h.n), int(h.maxDepth)
 	s.logRatio = viewF64s(sec(secLogRatio), secs[secLogRatio][1])
 	s.background = viewF64s(sec(secBackground), secs[secBackground][1])
 	s.nodeTrans = viewU32s[uint32](sec(secNodeTrans), secs[secNodeTrans][1])
@@ -411,15 +413,15 @@ func (s *Snapshot) attach(arena []byte, h *arenaHeader) {
 }
 
 // SnapshotFromArena reconstructs a snapshot from a serialized arena —
-// the bytes CompileSnapshot produced and Arena returned, typically a
-// section of an mmap'd bundle file. On little-endian hosts the returned
-// snapshot's tables are zero-copy views into data, which therefore must
-// stay immutable (and mapped) for the snapshot's lifetime; the loader
-// performs no allocation proportional to the declared sizes beyond the
-// validation arithmetic. A legacy descend arena is converted instead:
-// the snapshot owns a fresh automaton arena, the one CompileSnapshot
-// writes for the same tree, and does not alias data. A legacy delegate
-// arena yields ErrArenaDelegates as soon as its header decodes.
+// the bytes Arena returned, typically a section of an mmap'd bundle
+// file. On little-endian hosts the returned snapshot's tables are
+// zero-copy views into data, which therefore must stay immutable (and
+// mapped) for the snapshot's lifetime; the loader performs no
+// allocation proportional to the declared sizes beyond the validation
+// arithmetic. A legacy descend arena is converted instead: the snapshot
+// owns fresh automaton tables, those CompileSnapshot builds for the same
+// tree, and does not alias data. A legacy delegate arena yields
+// ErrArenaDelegates as soon as its header decodes.
 //
 // owner, if non-nil, is retained for the snapshot's lifetime — pass
 // whatever keeps data's bytes valid (the mmap'd file region), so the
@@ -526,12 +528,14 @@ func (s *Snapshot) checkIndices(h *arenaHeader) error {
 // pruned out of suffix-link closure before the compiler closed them.
 // Its child sections and rows already are the flat tree, so after the
 // same kind of index checks it compiles through CompileSnapshot's own
-// builder into a fresh automaton arena, its closure bounded as for a
-// loaded tree.
+// builder, its closure bounded as for a loaded tree, and takes copies
+// of the arena's score rows and background: the tables CompileSnapshot
+// builds for the same tree.
 func fromDescendArena(data []byte, h *arenaHeader) (*Snapshot, error) {
 	offs, _ := h.offsets()
 	secs := h.sections()
 	view32 := func(i int) []int32 { return viewU32s[int32](data[offs[i]:], secs[i][1]) }
+	viewF64 := func(i int) []float64 { return viewF64s(data[offs[i]:], secs[i][1]) }
 	num, edges := int32(h.numNodes), int32(h.childEdges)
 	childStart, childDst := view32(secChildStart), view32(secChildDst)
 	childSym := viewU16s[seq.Symbol](data[offs[secChildSym]:], secs[secChildSym][1])
@@ -541,9 +545,7 @@ func fromDescendArena(data []byte, h *arenaHeader) (*Snapshot, error) {
 		parent:     make([]int32, num),
 		edge:       make([]seq.Symbol, num),
 		childStart: childStart,
-		row:        view32(secRow),
-		logRatio:   viewF64s(data[offs[secLogRatio]:], secs[secLogRatio][1]),
-		background: viewF64s(data[offs[secBackground]:], secs[secBackground][1]),
+		row:        slices.Clone(view32(secRow)),
 	}
 	if childStart[0] != 0 || childStart[num] != edges {
 		return nil, fmt.Errorf("pst: arena section childStart: extents run from %d to %d, want 0 to %d", childStart[0], childStart[num], edges)
@@ -568,12 +570,12 @@ func fromDescendArena(data []byte, h *arenaHeader) (*Snapshot, error) {
 			return nil, fmt.Errorf("pst: arena section row: node %d scores with row %d of %d", i, r, h.rows)
 		}
 	}
-	arena, hh, err := f.automaton(closureLimit(int(num), f.maxDepth))
+	s, err := f.automaton(closureLimit(int(num), f.maxDepth))
 	if err != nil {
 		return nil, fmt.Errorf("pst: legacy descend arena: %w", err)
 	}
-	s := &Snapshot{}
-	s.attach(arena, &hh)
+	s.logRatio = slices.Clone(viewF64(secLogRatio))
+	s.background = slices.Clone(viewF64(secBackground))
 	return s, nil
 }
 
@@ -584,9 +586,46 @@ func fromDescendArena(data []byte, h *arenaHeader) (*Snapshot, error) {
 // still load.
 var ErrArenaDelegates = fmt.Errorf("pst: legacy delegate arena carries no scan tables; recompile from the serialized tree")
 
-// Arena returns the snapshot's backing slab — the exact bytes a bundle
-// stores and SnapshotFromArena accepts. Callers must not mutate it.
-func (s *Snapshot) Arena() []byte { return s.arena }
+// Arena returns the snapshot's slab — the exact bytes a bundle stores
+// and SnapshotFromArena accepts. A loaded snapshot returns the bytes it
+// views; a compiled one writes a fresh slab from its tables on every
+// call, so only a caller that saves it pays for it. Callers must not
+// mutate it.
+func (s *Snapshot) Arena() []byte {
+	if s.arena != nil {
+		return s.arena
+	}
+	return buildArena(s.header(), func(offs [numArenaSections]int64, arena []byte) {
+		putF64s(arena[offs[secLogRatio]:], s.logRatio)
+		putF64s(arena[offs[secBackground]:], s.background)
+		putU32s(arena[offs[secNodeTrans]:], s.nodeTrans)
+		putU32s(arena[offs[secParent]:], s.parent)
+		putU32s(arena[offs[secRow]:], s.row)
+		putU32s(arena[offs[secDenseTrans]:], s.denseTrans)
+		putU32s(arena[offs[secCsrStart]:], s.csrStart)
+		putU32s(arena[offs[secCsrDst]:], s.csrDst)
+		putU16s(arena[offs[secCsrSym]:], s.csrSym)
+	})
+}
 
-// ArenaBytes returns the snapshot's resident table footprint in bytes.
-func (s *Snapshot) ArenaBytes() int { return len(s.arena) }
+// ArenaBytes returns the length of the snapshot's slab, the bytes its
+// scan tables take, from the header arithmetic alone: it writes nothing.
+func (s *Snapshot) ArenaBytes() int {
+	h := s.header()
+	_, total := h.offsets()
+	return int(total)
+}
+
+// header returns the arena header of s's tables. Every count follows
+// from a table's length.
+func (s *Snapshot) header() arenaHeader {
+	return arenaHeader{
+		n:         uint32(s.n),
+		numNodes:  uint32(len(s.nodeTrans)),
+		rows:      uint32(len(s.logRatio) / s.n),
+		denseRows: uint32(len(s.denseTrans) / s.n),
+		csrRows:   uint32(len(s.csrStart) - 1),
+		csrEdges:  uint32(len(s.csrSym)),
+		maxDepth:  uint32(s.maxDepth),
+	}
+}

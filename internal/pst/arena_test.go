@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -108,7 +109,7 @@ func TestArenaDecodeFallback(t *testing.T) {
 // tables, so standalone loading must fail with the sentinel error the
 // bundle loader recompiles on.
 func TestArenaDelegateRejected(t *testing.T) {
-	arena, _ := buildArena(arenaHeader{flags: arenaFlagDelegate, n: 4}, func(offs [numArenaSections]int64, arena []byte) {
+	arena := buildArena(arenaHeader{flags: arenaFlagDelegate, n: 4}, func(offs [numArenaSections]int64, arena []byte) {
 		putF64s(arena[offs[secBackground]:], uniformBg(4))
 	})
 	if _, err := SnapshotFromArena(arena, nil); !errors.Is(err, ErrArenaDelegates) {
@@ -268,9 +269,17 @@ func compileWith(tree *Tree, bg []float64, occupancy, allLimit int) []byte {
 // descendArena writes tree as a legacy descend arena: flag bit 0, the
 // breadth-first tree's child sections and its score rows, the layout
 // CompileSnapshot wrote for trees out of suffix-link closure until it
-// closed them with virtual nodes.
+// closed them with virtual nodes. It folds the ln P̂ rows against bg
+// itself, as those writers did: ln P̂ − ln p(sym), −Inf kept.
 func descendArena(tree *Tree, bg []float64) []byte {
-	f := tree.flatten(bg)
+	f, lnP := tree.flatten()
+	logRatio := make([]float64, len(lnP))
+	for i, v := range lnP {
+		if !math.IsInf(v, -1) {
+			v -= math.Log(bg[i%f.n])
+		}
+		logRatio[i] = v
+	}
 	num := len(f.parent)
 	childDst := make([]int32, num-1)
 	for j := range childDst {
@@ -280,19 +289,18 @@ func descendArena(tree *Tree, bg []float64) []byte {
 		flags:      arenaFlagDescend,
 		n:          uint32(f.n),
 		numNodes:   uint32(num),
-		rows:       uint32(len(f.logRatio) / f.n),
+		rows:       uint32(len(logRatio) / f.n),
 		childEdges: uint32(num - 1),
 		maxDepth:   uint32(f.maxDepth),
 	}
-	arena, _ := buildArena(h, func(offs [numArenaSections]int64, arena []byte) {
-		putF64s(arena[offs[secLogRatio]:], f.logRatio)
-		putF64s(arena[offs[secBackground]:], f.background)
+	return buildArena(h, func(offs [numArenaSections]int64, arena []byte) {
+		putF64s(arena[offs[secLogRatio]:], logRatio)
+		putF64s(arena[offs[secBackground]:], bg)
 		putU32s(arena[offs[secRow]:], f.row)
 		putU32s(arena[offs[secChildStart]:], f.childStart)
 		putU32s(arena[offs[secChildDst]:], childDst)
 		putU16s(arena[offs[secChildSym]:], f.edge[1:])
 	})
-	return arena
 }
 
 // TestDescendArenaConverts: a legacy descend arena loads as exactly the

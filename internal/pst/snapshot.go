@@ -28,11 +28,17 @@ import (
 //     precomputed ln P̂(s|ctx) − ln p(s) table — the scan performs zero
 //     logarithms and acquires zero locks.
 //
-// Everything the scan reads lives in one contiguous arena (see
-// arena.go): structure-of-arrays node storage with no per-node Go
-// objects and no maps, so a snapshot is a single allocation whose
-// serialized form is its in-memory form — bundle format v3 stores the
-// arena verbatim and the registry can mmap it back without parsing.
+// Everything the scan reads is structure-of-arrays node storage, with no
+// per-node Go objects and no maps. Arena writes those tables as one
+// contiguous slab — bundle format v3 stores it verbatim — and a snapshot
+// loaded from the slab (SnapshotFromArena) views it in place, so the
+// registry can mmap a bundle and serve it without parsing (see arena.go).
+//
+// The score rows split in two. ln P̂(sym | ctx) depends only on the tree,
+// ln p(sym) only on the background, so a compiled snapshot keeps its
+// ln P̂ rows beside the folded ones, and Refold recompiles the same tree
+// Version against a new background by folding those rows again, sharing
+// the transition tables. Loaded and Detached snapshots keep no ln P̂ rows.
 //
 // Dense-vs-CSR is chosen per node at compile time: a node whose full
 // extensions cover at least 1/denseOccupancy of the alphabet gets a
@@ -87,13 +93,15 @@ import (
 //
 // Snapshots are safe for concurrent use by any number of goroutines.
 type Snapshot struct {
-	tree    *Tree
-	version uint64
-	n       int // alphabet size
+	tree     *Tree
+	version  uint64
+	n        int // alphabet size
+	maxDepth int // the tree's MaxDepth, recorded in the arena header
 
-	// arena is the one slab every slice below aliases (zero-copy on
-	// little-endian hosts); backing pins whatever owns the slab's bytes
-	// — an mmap'd file region — for the snapshot's lifetime.
+	// arena is the slab a loaded snapshot's slices view (zero-copy on
+	// little-endian hosts); backing pins whatever owns the slab's bytes —
+	// an mmap'd file region — for the snapshot's lifetime. A compiled
+	// snapshot has neither: Arena writes its slab from the tables.
 	arena   []byte
 	backing any
 
@@ -115,6 +123,11 @@ type Snapshot struct {
 	// adjusted ln P̂(sym | ctx) − ln p(sym) (−Inf for impossible symbols).
 	row      []int32
 	logRatio []float64
+
+	// lnP holds a compiled snapshot's rows before the fold: logRatio's
+	// shape, with ln P̂(sym | ctx) (−Inf for impossible symbols) in place
+	// of the ratio. Refold folds them against another background.
+	lnP []float64
 
 	background []float64 // the distribution the ratios were folded with
 }
@@ -146,21 +159,71 @@ var denseAllLimit = 1 << 20
 // compile — and score — against the old values. Pass a fresh slice for
 // a new distribution.
 func (t *Tree) CompileSnapshot(background []float64) *Snapshot {
-	if len(background) != t.cfg.AlphabetSize {
-		panic(fmt.Sprintf("pst: background distribution has %d entries, alphabet has %d", len(background), t.cfg.AlphabetSize))
-	}
-	arena, h, err := t.flatten(background).automaton(math.MaxInt32)
+	t.checkBackground(background)
+	f, lnP := t.flatten()
+	s, err := f.automaton(math.MaxInt32)
 	if err != nil {
 		panic(err) // the closed tree would overflow int32 node indices
 	}
-	s := &Snapshot{tree: t, version: t.version}
-	s.attach(arena, &h)
-	s.background = background
+	s.tree, s.version, s.lnP = t, t.version, lnP
+	s.fold(background)
 	return s
 }
 
+// checkBackground panics unless background has one entry per symbol.
+func (t *Tree) checkBackground(background []float64) {
+	if len(background) != t.cfg.AlphabetSize {
+		panic(fmt.Sprintf("pst: background distribution has %d entries, alphabet has %d", len(background), t.cfg.AlphabetSize))
+	}
+}
+
+// Refold returns the snapshot of the same tree Version compiled against
+// another background: bit for bit what CompileSnapshot(background)
+// returns while s is Valid for its tree, at the cost of one pass over
+// the score rows. The transition tables are s's own, shared, since they
+// never change; only the folded rows are new, each kept ln P̂ entry minus
+// ln p(sym) — the subtraction CompileSnapshot performs, on the same
+// operands. Refold of a refolded snapshot refolds the same rows again.
+//
+// A stale snapshot has nothing left to reuse, so Refold compiles its
+// tree in full. A snapshot without a tree (loaded or Detached) keeps no
+// ln P̂ rows, and Refold panics. background is kept as CompileSnapshot
+// keeps it, so it must not be mutated after it is passed.
+func (s *Snapshot) Refold(background []float64) *Snapshot {
+	if s.tree == nil {
+		panic("pst: Refold of a loaded or detached snapshot, which keeps no ln P̂ rows")
+	}
+	if !s.Valid(s.tree) {
+		return s.tree.CompileSnapshot(background)
+	}
+	s.tree.checkBackground(background)
+	r := *s
+	r.fold(background)
+	return &r
+}
+
+// fold writes the score rows for background from the ln P̂ rows: entry
+// sym becomes lnP − ln p(sym), the subtraction Tree.Similarity performs,
+// and −Inf stays −Inf, as the scan scores an impossible symbol even
+// where p(sym) is 0 (−Inf − ln 0 would be NaN).
+func (s *Snapshot) fold(background []float64) {
+	logBg := s.tree.logBackground(background)
+	n, negInf := len(logBg), math.Inf(-1)
+	ratio := make([]float64, len(s.lnP))
+	for base := 0; base < len(ratio); base += n {
+		dst := ratio[base : base+n]
+		for sym, v := range s.lnP[base : base+n] {
+			if v != negInf {
+				v -= logBg[sym]
+			}
+			dst[sym] = v
+		}
+	}
+	s.logRatio, s.background = ratio, background
+}
+
 // flatTree is a context tree flattened in breadth-first order, with its
-// score rows: what the automaton builder compiles. CompileSnapshot
+// score row index: what the automaton builder compiles. CompileSnapshot
 // flattens a live tree; SnapshotFromArena reads one from the child
 // sections and rows of a legacy descend arena, which hold these arrays.
 type flatTree struct {
@@ -173,10 +236,8 @@ type flatTree struct {
 	edge       []seq.Symbol
 	childStart []int32
 
-	// row[i] indexes node i's score row in logRatio (n entries a row).
-	row        []int32
-	logRatio   []float64
-	background []float64
+	// row[i] indexes node i's score row (n entries a row).
+	row []int32
 }
 
 // layout lays the tree out in breadth-first order, each node's children
@@ -208,48 +269,45 @@ func (t *Tree) layout() (*flatTree, []Slot) {
 	return f, nodes
 }
 
-// flatten lays the tree out and computes its score rows.
-func (t *Tree) flatten(background []float64) *flatTree {
+// flatten lays the tree out and computes its ln P̂ rows, before any
+// background is folded in.
+func (t *Tree) flatten() (*flatTree, []float64) {
 	f, nodes := t.layout()
 	n, num := f.n, len(nodes)
 	f.row = make([]int32, num)
-	f.background = background
 
 	// Score rows: one per prediction-capable node (root + significant
 	// nodes); every other node inherits the row of its deepest
 	// significant ancestor — exact because significance is monotone
 	// along root paths. Under shrinkage every node has its own row. The
 	// row entries replay the scan's arithmetic — the estimate, adjust,
-	// then Log minus the background log — so the compiled values are
-	// bit-identical to what Tree.Similarity computes per symbol.
-	logBg := t.logBackground(background)
-	ratio := func(p float64, sym int) float64 {
+	// then Log — so the compiled values are bit-identical to what
+	// Tree.Similarity computes per symbol before it subtracts ln p(sym).
+	ln := func(p float64) float64 {
 		if p <= 0 {
 			return math.Inf(-1)
 		}
-		return math.Log(p) - logBg[sym]
+		return math.Log(p)
 	}
 	row := f.row
 	if kappa := t.cfg.Shrinkage; kappa > 0 {
 		// Every node scores with its own row, predictShrunk's blend down
 		// to it; BFS order blends a parent's raw row before its children.
-		f.logRatio = make([]float64, num*n)
+		lnP := make([]float64, num*n)
 		for sym := range n {
-			f.logRatio[sym] = t.prob(nodes[0], seq.Symbol(sym))
+			lnP[sym] = t.prob(nodes[0], seq.Symbol(sym))
 		}
 		for i := 1; i < num; i++ {
 			row[i] = int32(i)
 			x, base, pbase := nodes[i], i*n, int(f.parent[i])*n
 			for sym, next := range t.nextRow(x) {
-				f.logRatio[base+sym] = shrink(next, t.count[x], kappa, f.logRatio[pbase+sym])
+				lnP[base+sym] = shrink(next, t.count[x], kappa, lnP[pbase+sym])
 			}
 		}
-		for base := 0; base < len(f.logRatio); base += n {
-			for sym, b := range f.logRatio[base : base+n] {
-				f.logRatio[base+sym] = ratio(t.adjust(b), sym)
-			}
+		for i, b := range lnP {
+			lnP[i] = ln(t.adjust(b))
 		}
-		return f
+		return f, lnP
 	}
 	rows := 0
 	for i, x := range nodes {
@@ -262,24 +320,23 @@ func (t *Tree) flatten(background []float64) *flatTree {
 	}
 	// Most entries of a row have next count 0, so they share one
 	// probability, adjust(0): take its logarithm once per compile.
-	zero := make([]float64, n)
-	for sym := range zero {
-		zero[sym] = ratio(t.adjust(0), sym)
+	lnP := make([]float64, rows*n)
+	zero := ln(t.adjust(0))
+	for i := range lnP {
+		lnP[i] = zero
 	}
-	f.logRatio = make([]float64, rows*n)
 	for i, x := range nodes {
 		if !t.Significant(x) {
 			continue
 		}
-		dst := f.logRatio[int(row[i])*n:][:n]
-		copy(dst, zero)
+		dst := lnP[int(row[i])*n:][:n]
 		for sym, next := range t.nextRow(x) {
 			if next != 0 {
-				dst[sym] = ratio(t.adjust(t.prob(x, seq.Symbol(sym))), sym)
+				dst[sym] = ln(t.adjust(t.prob(x, seq.Symbol(sym))))
 			}
 		}
 	}
-	return f
+	return f, lnP
 }
 
 // child returns the index of cur's child along edge symbol sym, or −1.
@@ -300,23 +357,22 @@ func (f *flatTree) child(cur int32, sym seq.Symbol) int32 {
 	return -1
 }
 
-// automaton compiles the flat tree into a snapshot arena: the suffix-
-// link transition automaton over the tree closed under suffix links,
-// with the tree's score rows. A closure that would hold more than limit
-// nodes fails instead.
-func (f *flatTree) automaton(limit int) ([]byte, arenaHeader, error) {
+// automaton compiles the flat tree into a snapshot's transition tables:
+// the suffix-link transition automaton over the tree closed under suffix
+// links, with each node's score row index. The caller adds the score
+// rows. A closure that would hold more than limit nodes fails instead.
+func (f *flatTree) automaton(limit int) (*Snapshot, error) {
 	n, numReal := f.n, len(f.parent)
 	sl, err := f.closure(limit)
 	if err != nil {
-		return nil, arenaHeader{}, err
+		return nil, err
 	}
 	parent, edge := f.parent, f.edge
 	num := len(parent)
 	// A virtual node takes its parent's score row, so by induction it
 	// scores with the row of its deepest real ancestor — the deepest real
-	// match of any context whose deepest match it is. f.row may view a
-	// loaded arena: clip it, so the appends copy.
-	row := f.row[:numReal:numReal]
+	// match of any context whose deepest match it is.
+	row := f.row
 	for v := numReal; v < num; v++ {
 		row = append(row, row[parent[v]])
 	}
@@ -442,27 +498,17 @@ func (f *flatTree) automaton(limit int) ([]byte, arenaHeader, error) {
 	}
 	csrStart[csrRows] = uint32(pos)
 
-	h := arenaHeader{
-		n:         uint32(n),
-		numNodes:  uint32(num),
-		rows:      uint32(len(f.logRatio) / n),
-		denseRows: uint32(denseRows),
-		csrRows:   uint32(csrRows),
-		csrEdges:  uint32(csrEdges),
-		maxDepth:  uint32(f.maxDepth),
-	}
-	arena, hh := buildArena(h, func(offs [numArenaSections]int64, arena []byte) {
-		putF64s(arena[offs[secLogRatio]:], f.logRatio)
-		putF64s(arena[offs[secBackground]:], f.background)
-		putU32s(arena[offs[secNodeTrans]:], nodeTrans)
-		putU32s(arena[offs[secParent]:], parent)
-		putU32s(arena[offs[secRow]:], row)
-		putU32s(arena[offs[secDenseTrans]:], denseTrans)
-		putU32s(arena[offs[secCsrStart]:], csrStart)
-		putU32s(arena[offs[secCsrDst]:], csrDst)
-		putU16s(arena[offs[secCsrSym]:], csrSym)
-	})
-	return arena, hh, nil
+	return &Snapshot{
+		n:          n,
+		maxDepth:   f.maxDepth,
+		nodeTrans:  nodeTrans,
+		denseTrans: denseTrans,
+		csrStart:   csrStart,
+		csrSym:     csrSym,
+		csrDst:     csrDst,
+		parent:     parent,
+		row:        row,
+	}, nil
 }
 
 // closureLimit bounds the closure of a tree read from outside the
@@ -561,10 +607,11 @@ func (s *Snapshot) Tree() *Tree { return s.tree }
 // Detached returns a snapshot that shares s's compiled tables, which
 // are immutable once compiled, but not its tree: like a snapshot loaded
 // from a bundle, it has no Tree and never goes stale. Its holder keeps
-// no reference to a tree that s's compiler may go on mutating.
+// no reference to a tree that s's compiler may go on mutating, nor the
+// ln P̂ rows that only Refold reads.
 func (s *Snapshot) Detached() *Snapshot {
 	d := *s
-	d.tree, d.version = nil, 0
+	d.tree, d.version, d.lnP = nil, 0, nil
 	return &d
 }
 

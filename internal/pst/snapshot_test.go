@@ -57,15 +57,7 @@ func uniformBg(n int) []float64 {
 // mostly lose suffix-link closure, so their virtual nodes are scored
 // through dense rows and CSR parent climbs alike.
 func TestSnapshotMatchesTreeRandom(t *testing.T) {
-	for _, mode := range []struct {
-		name      string
-		occupancy int
-		allLimit  int
-	}{
-		{"hybrid", 2, 1 << 8},             // tiny escape + low bar: real mixed rows on test-sized trees
-		{"dense", 1 << 30, denseAllLimit}, // every extension-bearing row dense
-		{"csr", 0, 0},                     // every row but the root CSR
-	} {
+	for _, mode := range rowMixes {
 		t.Run(mode.name, func(t *testing.T) {
 			oldOcc, oldAll := denseOccupancy, denseAllLimit
 			denseOccupancy, denseAllLimit = mode.occupancy, mode.allLimit
@@ -94,15 +86,7 @@ func TestSnapshotMatchesTreeRandom(t *testing.T) {
 				for k := 0; k < 1+rng.IntN(4); k++ {
 					tree.Insert(randomSymbols(rng, 20+rng.IntN(150), alpha))
 				}
-				bg := make([]float64, alpha)
-				total := 0.0
-				for i := range bg {
-					bg[i] = 0.1 + rng.Float64()
-					total += bg[i]
-				}
-				for i := range bg {
-					bg[i] /= total
-				}
+				bg := randomBg(rng, alpha, false)
 				snap := tree.CompileSnapshot(bg)
 				if !snap.Valid(tree) {
 					t.Fatal("fresh snapshot must be valid")
@@ -327,7 +311,9 @@ func TestSnapshotBackgroundMismatchPanics(t *testing.T) {
 // FuzzSnapshotSimilarity drives random construction and probes through
 // the compiled and the tree scan, including pruning (which exercises
 // the suffix-link closure) and, for a quarter of the seeds, the
-// shrinkage estimator.
+// shrinkage estimator. Its refold leg then refolds the snapshot against
+// a background drawn from the seed, a fifth of them with a zero entry,
+// and scans again against the tree under that background.
 func FuzzSnapshotSimilarity(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 0, 1}, []byte{2, 1, 0}, false)
 	f.Add(uint64(7), []byte{3, 3, 3, 1}, []byte{1, 3, 1, 3}, true)
@@ -362,6 +348,21 @@ func FuzzSnapshotSimilarity(f *testing.F) {
 		snap := tree.CompileSnapshot(bg)
 		if slow, comp := tree.Similarity(probe, bg), snap.Similarity(probe); comp != slow {
 			t.Fatalf("scan mismatch: tree %+v snapshot %+v", slow, comp)
+		}
+		bg2 := make([]float64, alpha)
+		total := 0.0
+		for i := range bg2 {
+			bg2[i] = float64(1 + seed>>(3*i)%7)
+			if seed%5 == 0 && i == alpha-1 {
+				bg2[i] = 0
+			}
+			total += bg2[i]
+		}
+		for i := range bg2 {
+			bg2[i] /= total
+		}
+		if slow, comp := tree.Similarity(probe, bg2), snap.Refold(bg2).Similarity(probe); comp != slow {
+			t.Fatalf("refolded scan mismatch: tree %+v snapshot %+v", slow, comp)
 		}
 	})
 }
@@ -441,9 +442,38 @@ func BenchmarkCompileSnapshot(b *testing.B) {
 // one per significant node.
 func BenchmarkCompileSnapshotShrinkage(b *testing.B) { benchCompile(b, 8, 0) }
 
+// BenchmarkSnapshotRefold prices what a consolidation pays instead of a
+// compile for a cluster whose tree did not change: the same trees as
+// BenchmarkCompileSnapshot and BenchmarkCompileSnapshotShrinkage,
+// refolded against a second background.
+func BenchmarkSnapshotRefold(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		kappa    float64
+		capBytes int
+	}{
+		{"closed", 0, 0},
+		{"pruned", 0, 256 << 10},
+		{"shrinkage", 8, 0},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tree, _, bg := benchTree(b, 20, 300, c.kappa, c.capBytes)
+			snap := tree.CompileSnapshot(bg)
+			bg2 := randomBg(rand.New(rand.NewPCG(63, 64)), 20, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSnap = snap.Refold(bg2)
+			}
+		})
+	}
+}
+
+// benchSnap keeps the benchmarked refolds from being optimized away.
+var benchSnap *Snapshot
+
 // benchCompile compiles benchTree's tree b.N times and reports its node
-// count, the arena bytes the snapshot takes per node and its virtual
-// nodes per tree node.
+// count, the arena bytes the snapshot takes per node (ArenaBytes, which
+// writes no arena) and its virtual nodes per tree node.
 func benchCompile(b *testing.B, kappa float64, capBytes int) {
 	tree, _, bg := benchTree(b, 20, 300, kappa, capBytes)
 	b.ResetTimer()

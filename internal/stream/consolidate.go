@@ -25,9 +25,10 @@ func (e *Engine) ConsolidateNow() {
 // the window's inserts left stale, merge covered clusters and dissolve
 // stillborn ones (§4.5 adapted to streaming evidence), re-adjust the
 // similarity threshold from the recent-similarity window (§4.6), refresh
-// the background distribution from the running symbol counts, recompile
-// every scoring snapshot against it, and publish a frozen classifier
-// that shares those snapshots. Caller holds e.mu.
+// the background distribution from the running symbol counts, refold
+// every scoring snapshot against it (compiling the merge targets, whose
+// trees changed), and publish a frozen classifier that shares those
+// snapshots. Caller holds e.mu.
 //
 //cluseq:deterministic
 func (e *Engine) consolidateLocked() {
@@ -80,7 +81,7 @@ func (e *Engine) consolidateLocked() {
 	sp.End()
 
 	// Refresh the background from the running symbol counts, then
-	// recompile every snapshot against it (similarities are only
+	// refold every snapshot against it (similarities are only
 	// comparable when snapshot and fallback scan share one background).
 	// The refresh is a fresh slice, never an in-place rewrite: trees
 	// memoize ln(background) by the slice's address, so rewriting it
@@ -231,31 +232,41 @@ func (e *Engine) score(c *scluster, syms []seq.Symbol) pst.Similarity {
 	return c.snap.Score(c.tree, syms, e.background)
 }
 
-// compileSnapshots compiles, across the engine pool, every cluster's
-// snapshot against the current background: all of them, or only those
-// an insert or merge has left stale. Like the batch engine's
-// ensureSnapshots, each task writes only its own cluster.
-func (e *Engine) compileSnapshots(all bool) {
+// compileSnapshots brings, across the engine pool, cluster snapshots up
+// to date with the current background: only those an insert or merge
+// has left stale, or, after a background refresh, every one.
+// pst.Snapshot.Refold does both: it compiles a stale snapshot in full,
+// and only refolds the score rows of a current one, whose tree is the
+// one it compiled. Like the batch engine's ensureSnapshots, each task
+// writes only its own cluster.
+func (e *Engine) compileSnapshots(refresh bool) {
 	var todo []*scluster
+	stale := 0
 	for _, c := range e.clusters {
-		if all || !c.snap.Valid(c.tree) {
-			todo = append(todo, c)
+		if !c.snap.Valid(c.tree) {
+			stale++
+		} else if !refresh {
+			continue
 		}
+		todo = append(todo, c)
 	}
 	e.forEachWorker(len(todo), func(i int) {
 		c := todo[i]
-		c.snap = c.tree.CompileSnapshot(e.background)
+		c.snap = c.snap.Refold(e.background)
 	})
-	e.met.snapshotCompiles.Add(int64(len(todo)))
+	e.met.snapshotCompiles.Add(int64(stale))
+	e.met.snapshotRefolds.Add(int64(len(todo) - stale))
 }
 
 // publishLocked freezes the current clusters into a classifier and
 // hands it to the Publish callback. Trees are deep-cloned so the
 // published model is immutable while the live trees keep absorbing the
-// stream. The classifier takes the snapshots the pass just compiled for
-// every cluster (their tables are immutable) instead of compiling the
-// clones again. An empty engine publishes nothing: a classifier needs
-// at least one cluster.
+// stream; a cluster whose tree has not changed since its last publish
+// shares that publish's clone, which no reader mutates. The classifier
+// takes the snapshots the pass just compiled or refolded for every
+// cluster (their tables are immutable) instead of compiling the clones
+// again. An empty engine publishes nothing: a classifier needs at least
+// one cluster.
 //
 //cluseq:deterministic
 func (e *Engine) publishLocked() {
@@ -265,7 +276,10 @@ func (e *Engine) publishLocked() {
 	trees := make([]*pst.Tree, len(e.clusters))
 	snaps := make([]*pst.Snapshot, len(e.clusters))
 	for i, c := range e.clusters {
-		trees[i] = c.tree.Clone()
+		if c.pub == nil || c.pubVersion != c.tree.Version() {
+			c.pub, c.pubVersion = c.tree.Clone(), c.tree.Version()
+		}
+		trees[i] = c.pub
 		snaps[i] = c.snap
 	}
 	clf, err := core.NewClassifierFromParts(trees, snaps, e.cfg.Alphabet, e.background, e.thr.Threshold())

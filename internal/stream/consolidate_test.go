@@ -16,9 +16,10 @@ import (
 // clusters whose snapshots the window's inserts made stale and a
 // singleton still current since its founding: the pass compiles the two
 // stale ones before the merge test, so the test — which merges nothing
-// — scans no tree, then all three after the background refresh, and the
-// publish takes those, so it compiles nothing. Shrinkage trees compile
-// like any other, so both legs count the same.
+// — scans no tree, then refolds all three after the background refresh,
+// as no tree changed since, and the publish takes those, so it compiles
+// nothing. Shrinkage trees compile like any other, so both legs count
+// the same.
 func TestConsolidationCounters(t *testing.T) {
 	for _, shrinkage := range []float64{0, 8} {
 		t.Run(fmt.Sprintf("shrinkage%v", shrinkage), func(t *testing.T) {
@@ -39,6 +40,7 @@ func TestConsolidationCounters(t *testing.T) {
 			}
 			e.IngestString("aaaaaaaaaaaa")
 			compiles := cfg.Obs.Counter("cluseq_stream_snapshot_compiles_total")
+			refolds := cfg.Obs.Counter("cluseq_stream_snapshot_refolds_total")
 			scans := cfg.Obs.Counter("cluseq_stream_tree_scans_total")
 			if compiles.Value() != 3 {
 				t.Fatalf("founding compiled %d snapshots, want 3", compiles.Value())
@@ -56,7 +58,7 @@ func TestConsolidationCounters(t *testing.T) {
 				t.Fatalf("%d stale clusters before the pass, want 2; the check would be vacuous", stale)
 			}
 
-			compiles0, scans0 := compiles.Value(), scans.Value()
+			compiles0, refolds0, scans0 := compiles.Value(), refolds.Value(), scans.Value()
 			e.ConsolidateNow()
 			st := e.Stats()
 			if st.Merges != 0 || st.Dissolves != 0 || st.Clusters != 3 {
@@ -65,9 +67,11 @@ func TestConsolidationCounters(t *testing.T) {
 			if got := scans.Value() - scans0; got != 0 {
 				t.Fatalf("merge test read the tree %d times, want 0", got)
 			}
-			if got, wantCompiles := compiles.Value()-compiles0, int64(stale+st.Clusters); got != wantCompiles {
-				t.Fatalf("pass compiled %d snapshots, want %d (%d stale before the merge test, %d after the refresh, none at publish)",
-					got, wantCompiles, stale, st.Clusters)
+			if got := compiles.Value() - compiles0; got != int64(stale) {
+				t.Fatalf("pass compiled %d snapshots, want the %d stale before the merge test (none after the refresh, none at publish)", got, stale)
+			}
+			if got := refolds.Value() - refolds0; got != int64(st.Clusters) {
+				t.Fatalf("pass refolded %d snapshots, want all %d after the refresh", got, st.Clusters)
 			}
 		})
 	}
@@ -124,6 +128,56 @@ func TestPublishedSnapshotsMatchClones(t *testing.T) {
 				t.Fatalf("only %d publishes", publishes)
 			}
 		})
+	}
+}
+
+// TestPublishSharesUnchangedClones: a publish clones only the trees
+// that changed since the last one. Between two passes one arrival joins
+// one of three clusters; the second publish hands out a new clone of
+// that cluster's tree and the first publish's clones of the other two,
+// each of which still saves to its engine tree's bytes.
+func TestPublishSharesUnchangedClones(t *testing.T) {
+	alphabet := seq.MustAlphabet("abcd")
+	cfg := streamTestConfig(t, alphabet)
+	cfg.ConsolidateEvery = 1000 // manual consolidation only
+	var published [][]*pst.Tree
+	cfg.Publish = func(clf *core.Classifier, _ uint64) { published = append(published, clf.Trees()) }
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 12; i++ {
+		e.IngestString("abababababab")
+		e.IngestString("cdcdcdcdcdcd")
+	}
+	e.IngestString("aaaaaaaaaaaa")
+	e.ConsolidateNow()
+	joined := e.IngestString("abababababab")
+	e.ConsolidateNow()
+	if len(published) != 2 || joined.Status != StatusAccepted {
+		t.Fatalf("%d publishes, join verdict %+v; want 2 publishes around one accepted arrival", len(published), joined)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.clusters) != 3 || len(published[0]) != 3 || len(published[1]) != 3 {
+		t.Fatalf("%d clusters, publishes of %d and %d trees; want 3 throughout", len(e.clusters), len(published[0]), len(published[1]))
+	}
+	for i, c := range e.clusters {
+		shared := published[1][i] == published[0][i]
+		if changed := c.id == joined.Cluster; shared == changed {
+			t.Fatalf("cluster %d (joined: %v): second publish shared the first one's clone: %v", c.id, changed, shared)
+		}
+		var got, want bytes.Buffer
+		if err := published[1][i].Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.tree.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("cluster %d: published tree saves to other bytes than the engine's tree", c.id)
+		}
 	}
 }
 

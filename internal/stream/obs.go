@@ -18,11 +18,15 @@ type streamMetrics struct {
 	merged         *obs.Counter
 	dissolved      *obs.Counter
 	published      *obs.Counter
-	// snapshotCompiles counts every snapshot the engine compiles: at
-	// founding, on resume, before the merge test (stale clusters only)
-	// and after the background refresh (every cluster). A publish
-	// compiles nothing: it shares the snapshots the refresh compiled.
+	// snapshotCompiles counts the snapshots the engine compiles in
+	// full: at founding, on resume, before the merge test (stale
+	// clusters only) and after the background refresh (clusters the
+	// merges left stale). snapshotRefolds counts the clusters the
+	// refresh only refolds, whose trees did not change since their last
+	// compile. A publish compiles nothing: it shares the refresh's
+	// snapshots.
 	snapshotCompiles *obs.Counter
+	snapshotRefolds  *obs.Counter
 	// treeScans counts the similarity scores that read a tree rather
 	// than compiled tables: a stale snapshot's fallback.
 	treeScans *obs.Counter
@@ -63,6 +67,7 @@ func newStreamMetrics(reg *obs.Registry, prune pst.PruneStrategy) streamMetrics 
 		published:      reg.Counter("cluseq_stream_published_total"),
 
 		snapshotCompiles: reg.Counter("cluseq_stream_snapshot_compiles_total"),
+		snapshotRefolds:  reg.Counter("cluseq_stream_snapshot_refolds_total"),
 		treeScans:        reg.Counter("cluseq_stream_tree_scans_total"),
 		pruneEvents:      reg.Counter("cluseq_stream_prune_events_total", "strategy", strategy),
 		prunedNodes:      reg.Counter("cluseq_stream_pruned_nodes_total", "strategy", strategy),

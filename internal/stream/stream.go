@@ -214,6 +214,11 @@ type scluster struct {
 	// consolidation; between refreshes an insert invalidates it and
 	// snap.Score falls back to the (bit-identical) tree scan.
 	snap *pst.Snapshot
+	// pub is the clone of tree the last publish handed out, taken at
+	// tree version pubVersion: read-only, so the next publish shares it
+	// while the tree is unchanged.
+	pub        *pst.Tree
+	pubVersion uint64
 	// size counts sequences absorbed (seed included).
 	size int64
 	// createdAt is the engine's ingest counter when the cluster was
