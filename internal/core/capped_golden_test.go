@@ -17,35 +17,41 @@ import (
 var cappedGoldenCaps = []int{32 << 10, 96 << 10}
 
 // cappedGoldenDigests are TestCappedBatchGolden's result digests, keyed
-// by strategy and cap, recorded while every capped insert still
-// materialized all of its new contexts before the prune pass evicted
-// most of them again. Inserting only the contexts that survive the cap
-// must leave every assignment and every tree byte as it was. The
-// shrinkage8 rows were recorded while shrinkage snapshots still
-// delegated every scan to the tree; compiling them into per-node score
-// rows must leave those results as they were too.
+// by strategy and cap. They were recorded by cappedResultDigest, which
+// leaves SnapshotCompiles out of the trace, at the commit before
+// compiles kept only the root and the significant nodes and the apply
+// phase began to recompile a stale snapshot: neither may change an
+// assignment, a threshold or a tree byte. The capped rows pin capped
+// inserts, the shrinkage8 rows shrinkage scans, and the uncapped rows,
+// adaptive and fixed significance, the trees whose compiles drop the
+// most nodes.
 var cappedGoldenDigests = map[string]string{
-	"auto/cap32k":            "f7ad75fe73e21fe6f55d7aaeac81584614f413ceeca6235060609da509e23614",
-	"auto/cap96k":            "c7deeadee1d8827b5bab6c1ce19dfeaec56a248ca17f9709d9f23fc3159d679e",
-	"min_count/cap32k":       "00f3b5e00a5e10eab546acb8864fc6f4758064ccecc6c9e6af8cbf0cf83b77e9",
-	"min_count/cap96k":       "b7dfd80033599c781f0ea0f19a3f653afa7765614db106deee7bec0513c58058",
-	"longest_label/cap32k":   "c8aea92f331dfa6c1458d1e4ff8449d2ed69d81c3af078df0268f268ca38d699",
-	"longest_label/cap96k":   "8d44b7da6da9bcc94bc862682b00fd0ae790c0212272d44c91c2fa0dd32f67a5",
-	"expected_vector/cap32k": "88ec3d85162c2f8a58333d7ee0821e70d91aa2ea4e9a3a28f6018d9f504ea4de",
-	"expected_vector/cap96k": "73cd469df06c438ae4e7b3a2a3719aaf8f49f8cad54234d43f8a622239ef75eb",
-	"shrinkage8/uncapped":    "63a1d60b6c10b8d52382cc6664c66ba6bc307664b4ca2f21f399cf4603c7ebf6",
-	"shrinkage8/cap96k":      "4ac586875432c4b40518b8a4e55f0d7f3d04b782cc8a2186ec4756504192658e",
+	"auto/cap32k":            "7780700d0a5c37849e5229bb0fac41702758e68f21bf6b7f567bd5763d09279a",
+	"auto/cap96k":            "33d4378580f337ec1ef1a3e424167e6d151d5351548734f86baab51fc13f282f",
+	"min_count/cap32k":       "2c30c070f3406a4c7a812d6745a609437ffbb023ab7ce581121dc3dc72f02a75",
+	"min_count/cap96k":       "f9e62f1cd7cb07c87548dc2661e9e879621feecc562890107b5794e81082a33c",
+	"longest_label/cap32k":   "657baddf77fa593edf09fc37c64713a563d1c2454a56b8d9b2dcef6f6448408e",
+	"longest_label/cap96k":   "7a477d952a370bcccb3810a5cbcdfa895e2f818afaa5e5f35efd42c55a2549ad",
+	"expected_vector/cap32k": "adfb78815ae7c8634e145d2308d8ea86e04e8f7ff3ccd080aa640ce120e300fe",
+	"expected_vector/cap96k": "dc69228e4922d29750780c07fea017a69044d01aa3bf4c1b16c03721af233fce",
+	"adaptive/uncapped":      "860a9acc73da1d513844648f03517874b3f9659c9d39b11889ef44b2d329f89e",
+	"fixed/uncapped":         "411ebeda979be857797ad3ca1e2dc39297864626b736ae66b441d2be3d57c9cf",
+	"shrinkage8/uncapped":    "bca892a55b5e9a8db6b1b5128eb0613da61278fb13f94c34c94d5c5dd9eba222",
+	"shrinkage8/cap96k":      "cbc51208fabbed97f80538d8d6564f895de6151834c9ff05c52467f8b17fcd13",
 }
 
 // cappedResultDigest hashes everything a capped batch run decides: the
 // iteration count, final threshold and per-iteration trace, every
 // cluster's membership, seed and tree statistics together with its
-// tree's PSTv1 bytes, and the unclustered and primary assignments.
+// tree's PSTv1 bytes, and the unclustered and primary assignments. The
+// trace is hashed without SnapshotCompiles: that field counts work, not
+// a decision, and when the engine compiles is free to change.
 func cappedResultDigest(t *testing.T, r *Result) string {
 	t.Helper()
 	h := sha256.New()
 	fmt.Fprintf(h, "iterations %d threshold %x\n", r.Iterations, math.Float64bits(r.FinalThreshold))
 	for _, it := range r.Trace {
+		it.SnapshotCompiles = 0
 		fmt.Fprintf(h, "trace %+v\n", it)
 	}
 	for _, c := range r.Clusters {
@@ -65,7 +71,9 @@ func cappedResultDigest(t *testing.T, r *Result) string {
 // significance leaves a fresh tree with every node significant, so
 // PruneAuto passes take both the insignificant-only order and the
 // expected-vector tier. The shrinkage rows, uncapped and capped, pin
-// the shrinkage estimator's scans through the compile fan-outs.
+// the shrinkage estimator's scans through the compile fan-outs, and the
+// uncapped rows the default estimator's, whose apply phase recompiles
+// stale snapshots of trees that mostly hold insignificant nodes.
 func TestCappedBatchGolden(t *testing.T) {
 	db := determinismDB(t, 11)
 	base := Config{
@@ -84,6 +92,15 @@ func TestCappedBatchGolden(t *testing.T) {
 			cfg.MaxPSTBytes, cfg.Prune = capBytes, strategy
 			rows = append(rows, row{fmt.Sprintf("%v/cap%dk", strategy, capBytes>>10), cfg})
 		}
+	}
+	for _, fixed := range []bool{false, true} {
+		cfg := base
+		cfg.FixedSignificance = fixed
+		name := "adaptive/uncapped"
+		if fixed {
+			name = "fixed/uncapped"
+		}
+		rows = append(rows, row{name, cfg})
 	}
 	for _, capBytes := range []int{0, cappedGoldenCaps[1]} {
 		cfg := base

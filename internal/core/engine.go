@@ -31,10 +31,11 @@ type cluster struct {
 	// compiled before each parallel fan-out, by the one task that owns
 	// the cluster, and read-only inside, so workers scan flat arrays with
 	// no locks. Every score goes through snap.Score, which falls back to
-	// the tree scan while the snapshot is stale: in the apply phase a
-	// join bumps the version and the cluster's later sequences are
-	// re-scored against the mutated tree, where recompiling per join
-	// would cost more than the scans it saves.
+	// the tree scan while the snapshot is stale. In the apply phase a
+	// join bumps the version, and the cluster's own task re-scores its
+	// later sequences against the mutated tree: by tree scans until they
+	// have cost about one compile, then by a snapshot it recompiles (see
+	// applyScore).
 	snap *pst.Snapshot
 }
 
@@ -500,14 +501,71 @@ func (e *engine) ensureSnapshots(cs ...*cluster) {
 			stale = append(stale, c)
 		}
 	}
-	e.forEachWorker(len(stale), func(i int) {
-		c := stale[i]
-		start := time.Now() //cluseq:allow determinism: timestamp feeds the compile-seconds histogram only, never the clustering state
-		c.snap = c.tree.CompileSnapshot(e.background)
-		e.met.snapCompileSeconds.ObserveSince(start)
-	})
-	e.iterCompiles += len(stale)
-	e.met.snapCompiles.Add(int64(len(stale)))
+	e.forEachWorker(len(stale), func(i int) { e.compileSnapshot(stale[i]) })
+	e.countCompiles(len(stale))
+}
+
+// compileSnapshot compiles c's snapshot of its tree's current state and
+// times the compile. Only the task that owns c may call it.
+//
+//cluseq:deterministic
+func (e *engine) compileSnapshot(c *cluster) {
+	start := time.Now() //cluseq:allow determinism: timestamp feeds the compile-seconds histogram only, never the clustering state
+	c.snap = c.tree.CompileSnapshot(e.background)
+	e.met.snapCompileSeconds.ObserveSince(start)
+}
+
+// countCompiles adds k compiles to the iteration's trace and the compile
+// counter; call it once a fan-out has joined.
+func (e *engine) countCompiles(k int) {
+	e.iterCompiles += k
+	e.met.snapCompiles.Add(int64(k))
+}
+
+// staleShare sets the apply phase's recompile budget: a task recompiles
+// a stale snapshot once it has tree-scanned Nodes·n/staleShare symbols
+// since the last compile. A compile writes about Nodes·n score-row and
+// transition entries, and one tree-scanned symbol costs as much as five
+// to nine of them (DESIGN.md §6), so the budget is one to two compiles'
+// worth of tree scans — the ski-rental rule: rent (scan the tree) until
+// the rent paid matches the price, then buy (compile).
+const staleShare = 4
+
+// applyScanHook, when set, sees every apply-phase score of a pair whose
+// cached value is stale while the cluster's snapshot is stale too: the
+// cluster, whether its task compiled before scoring, the symbols the
+// task had tree-scanned since its last compile (counting this score's
+// scan, when it made one) and the budget. Tests set it; apply tasks call
+// it concurrently.
+var applyScanHook func(clusterID int, compiled bool, scanned, budget int)
+
+// applyScore is cachedSim for the apply phase, whose tasks re-score a
+// cluster's later sequences after a join has left its snapshot stale.
+// *scanned holds the symbols the task has tree-scanned since the
+// snapshot was last compiled. A stale read scans the tree while that
+// count is below the budget staleShare sets from the stale snapshot's
+// own size, and otherwise recompiles the snapshot first and scores
+// through it. The rule counts symbols, not time, so every task makes the
+// same compiles at any worker count; *compiles counts them.
+//
+//cluseq:deterministic
+func (e *engine) applyScore(c *cluster, si int, syms []seq.Symbol, scanned, compiles *int) pst.Similarity {
+	if c.cache[si].version != c.tree.Version() && !c.snap.Valid(c.tree) {
+		budget := c.snap.Nodes() * e.treeCfg.AlphabetSize / staleShare
+		compiled := *scanned >= budget
+		if !compiled {
+			*scanned += len(syms)
+		}
+		if applyScanHook != nil {
+			applyScanHook(c.id, compiled, *scanned, budget)
+		}
+		if compiled {
+			e.compileSnapshot(c)
+			*compiles++
+			*scanned = 0
+		}
+	}
+	return e.cachedSim(c, si, syms, false)
 }
 
 // normalizedLogSim converts a similarity to the per-symbol log scale the
@@ -587,11 +645,13 @@ func (e *engine) cachedSim(c *cluster, si int, syms []seq.Symbol, countHit bool)
 // as its own pool task. A join inserts into the joined cluster's tree
 // only (§4.4), and the threshold is fixed for the whole pass, so a
 // cluster's decisions depend on nothing but its own tree and the order:
-// a join bumps that tree's version, and cachedSim transparently
-// re-scores the cluster's later sequences against the mutated tree. A
-// task writes only its own cluster's tree, members and cache and its own
-// row of scores, so the results are bit-identical to a fully serial,
-// sequence-major pass at any worker count. Returns all (normalized)
+// a join bumps that tree's version, and applyScore transparently
+// re-scores the cluster's later sequences against the mutated tree,
+// recompiling its snapshot when the tree scans have cost about one
+// compile. A task writes only its own cluster's tree, snapshot, members
+// and cache, its own row of scores and its own compile count, so the
+// results are bit-identical to a fully serial, sequence-major pass at
+// any worker count. Returns all (normalized)
 // log-similarities for the threshold histogram, gathered from the rows
 // in sequence-major order after the fan-out.
 //
@@ -610,17 +670,20 @@ func (e *engine) recluster(job *obs.RequestTrace) []float64 {
 	order := e.sequenceOrder()
 	n := len(order)
 	// norms[ci*n+pos] is cluster ci's score for the sequence at position
-	// pos of the order; one row per task, so no two tasks share a slot.
+	// pos of the order; one row per task, so no two tasks share a slot,
+	// nor a slot of compiles.
 	norms := make([]float64, len(e.clusters)*n)
+	compiles := make([]int, len(e.clusters))
 	e.forEachWorker(len(e.clusters), func(ci int) {
 		c := e.clusters[ci]
 		row := norms[ci*n : (ci+1)*n]
+		scanned := 0
 		for pos, si := range order {
 			s := e.db.Sequences[si]
 			if len(s.Symbols) == 0 {
 				continue
 			}
-			sim := e.cachedSim(c, si, s.Symbols, false)
+			sim := e.applyScore(c, si, s.Symbols, &scanned, &compiles[ci])
 			norm := e.normalizedLogSim(sim, len(s.Symbols))
 			row[pos] = norm
 			if norm >= e.thr.LogT {
@@ -646,6 +709,9 @@ func (e *engine) recluster(job *obs.RequestTrace) []float64 {
 			}
 		}
 	})
+	for _, k := range compiles {
+		e.countCompiles(k)
+	}
 	logSims := make([]float64, 0, len(norms))
 	for pos, si := range order {
 		if len(e.db.Sequences[si].Symbols) == 0 {

@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -273,5 +275,67 @@ func TestSequenceOrderStrategies(t *testing.T) {
 			t.Fatalf("duplicate index %d in cluster-based order", v)
 		}
 		seen[v] = true
+	}
+}
+
+// TestApplyPhaseRecompiles pins the apply phase's ski-rental rule on a
+// run whose clusters join sequences early in a pass, leaving their
+// snapshots stale with most of the order still to score. A task must
+// recompile its cluster's stale snapshot once it has tree-scanned one
+// budget of symbols, so it never scans more than one budget plus one
+// sequence between compiles. The compiles it makes must reach the
+// trace, the compile counter and the compile-time histogram, and leave
+// the results identical at Workers 1 and 2.
+func TestApplyPhaseRecompiles(t *testing.T) {
+	db := determinismDB(t, 11)
+	longest := 0
+	for _, s := range db.Sequences {
+		longest = max(longest, len(s.Symbols))
+	}
+	var (
+		mu       sync.Mutex
+		compiles int
+	)
+	applyScanHook = func(cluster int, compiled bool, scanned, budget int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if compiled {
+			compiles++
+		}
+		if scanned > budget+longest {
+			t.Errorf("cluster %d tree-scanned %d symbols since its last compile, past its budget of %d plus one sequence", cluster, scanned, budget)
+		}
+	}
+	defer func() { applyScanHook = nil }()
+
+	var results []*Result
+	for _, workers := range []int{1, 2} {
+		compiles = 0
+		cfg := determinismConfigs()["base"]
+		cfg.Workers = workers
+		cfg.Obs = obs.NewRegistry()
+		res, err := Cluster(db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced := 0
+		for _, it := range res.Trace {
+			traced += it.SnapshotCompiles
+		}
+		if compiles == 0 {
+			t.Fatalf("Workers %d: no apply task recompiled a stale snapshot", workers)
+		}
+		if traced < compiles {
+			t.Errorf("Workers %d: the trace counts %d compiles, the apply phase alone made %d", workers, traced, compiles)
+		}
+		counted := cfg.Obs.Counter("cluseq_engine_snapshot_compiles_total").Value()
+		timed := cfg.Obs.Histogram("cluseq_engine_snapshot_compile_seconds", 0, 1, 200).Count()
+		if counted < int64(traced) || timed != counted {
+			t.Errorf("Workers %d: compile counter %d and histogram count %d, want equal and at least the trace's %d", workers, counted, timed, traced)
+		}
+		results = append(results, res)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("Workers 1 and 2 disagree:\nserial:   %+v\nparallel: %+v", summary(results[0]), summary(results[1]))
 	}
 }

@@ -44,9 +44,8 @@ package pst
 //	                            row id, clear = CSR row id
 //	parent     numNodes int32   tree parent (an earlier node), the CSR
 //	                            miss fallback chain
-//	row        numNodes int32   prediction row of the node's deepest
-//	                            significant real ancestor-or-self (under
-//	                            shrinkage, of its deepest real one)
+//	row        numNodes int32   score row: a real node's own, a virtual
+//	                            node's deepest real ancestor's
 //	denseTrans denseRows·n i32  full transition rows (fallback resolved)
 //	csrStart   csrRows+1 uint32 CSR row extents into csrSym/csrDst
 //	csrDst     csrEdges int32   CSR transition targets
@@ -55,10 +54,10 @@ package pst
 //	childDst   childEdges int32 legacy descend only: child targets
 //	childSym   childEdges u16   legacy descend only: child edge symbols
 //
-// numNodes counts the tree's nodes in breadth-first order, then the
-// virtual nodes that close a pruned tree under suffix links (see
-// Snapshot); rows counts the real nodes' score rows only. A shrinkage
-// tree compiles like any other, with one row per real node.
+// numNodes counts the compiled nodes in breadth-first order — the root
+// and the significant nodes, or under shrinkage every tree node — then
+// the virtual nodes that close them under suffix links (see Snapshot);
+// rows counts the real nodes, each of which has a score row of its own.
 //
 // Arena writes no flags. Two layouts older writers produced
 // still load: flag bit 0 marks a descend arena — a pruned tree compiled
@@ -526,30 +525,37 @@ func (s *Snapshot) checkIndices(h *arenaHeader) error {
 
 // fromDescendArena converts a legacy descend arena, written for trees
 // pruned out of suffix-link closure before the compiler closed them.
-// Its child sections and rows already are the flat tree, so after the
-// same kind of index checks it compiles through CompileSnapshot's own
-// builder, its closure bounded as for a loaded tree, and takes copies
-// of the arena's score rows and background: the tables CompileSnapshot
-// builds for the same tree.
+// Its child sections hold the whole breadth-first tree, and its row
+// section gives the root and each significant node a score row of its
+// own and every other node its parent's. After the same kind of index
+// checks the converter keeps the root and the nodes with a row of their
+// own, the nodes CompileSnapshot lays out, and compiles them through
+// CompileSnapshot's own builder, its closure bounded as for a loaded
+// tree, with copies of their score rows and the background: the tables
+// CompileSnapshot builds for the same tree. A node with a row of its own
+// below one without has no place in that tree, and the arena is refused.
 func fromDescendArena(data []byte, h *arenaHeader) (*Snapshot, error) {
 	offs, _ := h.offsets()
 	secs := h.sections()
 	view32 := func(i int) []int32 { return viewU32s[int32](data[offs[i]:], secs[i][1]) }
-	viewF64 := func(i int) []float64 { return viewF64s(data[offs[i]:], secs[i][1]) }
-	num, edges := int32(h.numNodes), int32(h.childEdges)
-	childStart, childDst := view32(secChildStart), view32(secChildDst)
+	num, edges, n := int32(h.numNodes), int32(h.childEdges), int(h.n)
+	childStart, childDst, row := view32(secChildStart), view32(secChildDst), view32(secRow)
 	childSym := viewU16s[seq.Symbol](data[offs[secChildSym]:], secs[secChildSym][1])
-	f := &flatTree{
-		n:          int(h.n),
-		maxDepth:   int(h.maxDepth),
-		parent:     make([]int32, num),
-		edge:       make([]seq.Symbol, num),
-		childStart: childStart,
-		row:        slices.Clone(view32(secRow)),
-	}
+	logRatio := viewF64s(data[offs[secLogRatio]:], secs[secLogRatio][1])
 	if childStart[0] != 0 || childStart[num] != edges {
 		return nil, fmt.Errorf("pst: arena section childStart: extents run from %d to %d, want 0 to %d", childStart[0], childStart[num], edges)
 	}
+	for i, r := range row {
+		if uint32(r) >= h.rows {
+			return nil, fmt.Errorf("pst: arena section row: node %d scores with row %d of %d", i, r, h.rows)
+		}
+	}
+	f := &flatTree{n: n, maxDepth: int(h.maxDepth), parent: []int32{0}, edge: []seq.Symbol{0}}
+	ratio := slices.Clone(logRatio[int(row[0])*n:][:n])
+	// kept[i] is node i's compiled index, or −1 when it shares its
+	// parent's row. Parents precede children, so a node's entry is final
+	// before its children are read.
+	kept := make([]int32, num)
 	for i := int32(0); i < num; i++ {
 		lo, hi := childStart[i], childStart[i+1]
 		if hi < lo || hi > edges {
@@ -562,20 +568,36 @@ func fromDescendArena(data []byte, h *arenaHeader) (*Snapshot, error) {
 			if uint32(childSym[j]) >= h.n || j > lo && childSym[j] <= childSym[j-1] {
 				return nil, fmt.Errorf("pst: arena section childSym: children of node %d are not ascending symbols below %d", i, h.n)
 			}
-			f.parent[j+1], f.edge[j+1] = i, childSym[j]
+			c := j + 1
+			if row[c] == row[i] {
+				kept[c] = -1
+				continue
+			}
+			if kept[i] < 0 {
+				return nil, fmt.Errorf("pst: arena section row: node %d has a score row of its own below node %d, which has none", c, i)
+			}
+			kept[c] = int32(len(f.parent))
+			f.parent = append(f.parent, kept[i])
+			f.edge = append(f.edge, childSym[j])
+			ratio = append(ratio, logRatio[int(row[c])*n:][:n]...)
 		}
 	}
-	for i, r := range f.row {
-		if uint32(r) >= h.rows {
-			return nil, fmt.Errorf("pst: arena section row: node %d scores with row %d of %d", i, r, h.rows)
-		}
+	// The kept nodes keep their breadth-first order, so each one's
+	// children stay one ascending span: childStart[i+1] − childStart[i]
+	// counts node i's children.
+	f.childStart = make([]int32, len(f.parent)+1)
+	for _, p := range f.parent[1:] {
+		f.childStart[p+1]++
 	}
-	s, err := f.automaton(closureLimit(int(num), f.maxDepth))
+	for i := range f.parent {
+		f.childStart[i+1] += f.childStart[i]
+	}
+	s, err := f.automaton(closureLimit(len(f.parent), f.maxDepth))
 	if err != nil {
 		return nil, fmt.Errorf("pst: legacy descend arena: %w", err)
 	}
-	s.logRatio = slices.Clone(viewF64(secLogRatio))
-	s.background = slices.Clone(viewF64(secBackground))
+	s.logRatio = ratio
+	s.background = slices.Clone(viewF64s(data[offs[secBackground]:], secs[secBackground][1]))
 	return s, nil
 }
 

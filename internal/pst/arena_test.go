@@ -15,9 +15,10 @@ import (
 )
 
 // buildArenaTree grows a deterministic tree plus probes for arena
-// round-trip tests. Pruning evicts by expected vector, which takes
-// interior suffix contexts out of this tree, so its automaton needs
-// virtual nodes.
+// round-trip tests. Pruning three quarters of it by expected vector
+// evicts suffix-link targets of nodes that stay significant, so at the
+// alphabet sizes up to 6 the tests use, its automaton needs virtual
+// nodes.
 func buildArenaTree(alpha, inserts, seqLen int, prune bool) (*Tree, [][]seq.Symbol, []float64) {
 	rng := rand.New(rand.NewPCG(71, 72))
 	tree := MustNew(Config{AlphabetSize: alpha, MaxDepth: 5, Significance: 3, PMin: 0.2 / float64(alpha), Prune: PruneExpectedVector})
@@ -25,7 +26,7 @@ func buildArenaTree(alpha, inserts, seqLen int, prune bool) (*Tree, [][]seq.Symb
 		tree.Insert(randomSymbols(rng, seqLen, alpha))
 	}
 	if prune {
-		tree.Prune(tree.NumNodes() / 2)
+		tree.Prune(tree.NumNodes() / 4)
 	}
 	probes := make([][]seq.Symbol, 24)
 	for i := range probes {
@@ -194,6 +195,27 @@ func TestArenaCorruptionRejected(t *testing.T) {
 		{"descend extents decrease", legacy, func(b []byte) []byte { le.PutUint32(section(b, secChildStart)[4:], 1<<20); return reseal(b) }},
 		{"descend node below itself", legacy, func(b []byte) []byte { le.PutUint32(section(b, secChildStart)[4:], 0); return reseal(b) }},
 		{"descend row out of range", legacy, func(b []byte) []byte { le.PutUint32(section(b, secRow)[4:], 1<<20); return reseal(b) }},
+		{"descend own row below a shared one", legacy, func(b []byte) []byte {
+			// Give a significant node p ≠ root with a significant child
+			// its parent's row, as if p were insignificant.
+			starts, rows := section(b, secChildStart), section(b, secRow)
+			at := func(sec []byte, i uint32) uint32 { return le.Uint32(sec[4*i:]) }
+			parentOf := func(c uint32) uint32 { // the node whose edges hold edge c−1
+				i := uint32(0)
+				for at(starts, i+1) < c {
+					i++
+				}
+				return i
+			}
+			for c := uint32(2); c < h.numNodes; c++ {
+				p := parentOf(c)
+				if gp := parentOf(p); p != 0 && at(rows, c) != at(rows, p) && at(rows, p) != at(rows, gp) {
+					le.PutUint32(rows[4*p:], at(rows, gp))
+					return reseal(b)
+				}
+			}
+			panic("no significant node has a significant child")
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -267,18 +289,29 @@ func compileWith(tree *Tree, bg []float64, occupancy, allLimit int) []byte {
 }
 
 // descendArena writes tree as a legacy descend arena: flag bit 0, the
-// breadth-first tree's child sections and its score rows, the layout
-// CompileSnapshot wrote for trees out of suffix-link closure until it
-// closed them with virtual nodes. It folds the ln P̂ rows against bg
-// itself, as those writers did: ln P̂ − ln p(sym), −Inf kept.
+// whole breadth-first tree's child sections and its score rows, the
+// layout CompileSnapshot wrote for trees out of suffix-link closure
+// until it closed them with virtual nodes. As those writers did, it
+// gives the root and each significant node, in breadth-first order, a
+// row of its own and every other node its parent's, and fills a row
+// with ln P̂ − ln p(sym) per symbol, −Inf kept.
 func descendArena(tree *Tree, bg []float64) []byte {
-	f, lnP := tree.flatten()
-	logRatio := make([]float64, len(lnP))
-	for i, v := range lnP {
-		if !math.IsInf(v, -1) {
-			v -= math.Log(bg[i%f.n])
+	f, nodes := tree.layout(0)
+	row := make([]int32, len(nodes))
+	var logRatio []float64
+	for i, x := range nodes {
+		if !tree.Significant(x) {
+			row[i] = row[f.parent[i]]
+			continue
 		}
-		logRatio[i] = v
+		row[i] = int32(len(logRatio) / f.n)
+		for sym := range f.n {
+			v := math.Inf(-1)
+			if p := tree.adjust(tree.prob(x, seq.Symbol(sym))); p > 0 {
+				v = math.Log(p) - math.Log(bg[sym])
+			}
+			logRatio = append(logRatio, v)
+		}
 	}
 	num := len(f.parent)
 	childDst := make([]int32, num-1)
@@ -296,7 +329,7 @@ func descendArena(tree *Tree, bg []float64) []byte {
 	return buildArena(h, func(offs [numArenaSections]int64, arena []byte) {
 		putF64s(arena[offs[secLogRatio]:], logRatio)
 		putF64s(arena[offs[secBackground]:], bg)
-		putU32s(arena[offs[secRow]:], f.row)
+		putU32s(arena[offs[secRow]:], row)
 		putU32s(arena[offs[secChildStart]:], f.childStart)
 		putU32s(arena[offs[secChildDst]:], childDst)
 		putU16s(arena[offs[secChildSym]:], f.edge[1:])
@@ -383,7 +416,7 @@ func TestArenaMisalignedBaseRealigns(t *testing.T) {
 
 // TestSnapshotScanAllocs pins the serving-path contract: a compiled
 // scan performs zero allocations, for both compiled and arena-loaded
-// snapshots, of closed trees and of pruned ones with virtual nodes.
+// snapshots, of closed trees and of pruned ones.
 func TestSnapshotScanAllocs(t *testing.T) {
 	for _, prune := range []bool{false, true} {
 		tree, probes, bg := buildArenaTree(50, 4, 200, prune)

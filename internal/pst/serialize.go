@@ -172,7 +172,7 @@ func Load(r io.Reader) (*Tree, error) {
 	if err := t.loadNodes(br, numNodes); err != nil {
 		return nil, err
 	}
-	f, _ := t.layout()
+	f, _ := t.layout(0)
 	if _, err := f.closure(closureLimit(t.numNodes, t.cfg.MaxDepth)); err != nil {
 		return nil, err
 	}

@@ -21,8 +21,9 @@ import (
 //     table load for nodes whose extension row is dense, a binary
 //     search over a sorted CSR row with parent fallback for the
 //     (typically long) sparse tail,
-//   - the climb to the deepest significant ancestor becomes a
-//     precomputed per-node row index, and
+//   - the climb to the deepest significant ancestor disappears: the
+//     compile lays out only the contexts the estimator predicts from,
+//     so the deepest match is the prediction node, and
 //   - the per-symbol probability adjustment (§5.2 PMin), the math.Log
 //     call, and the background-log subtraction are all folded into a
 //     precomputed ln P̂(s|ctx) − ln p(s) table — the scan performs zero
@@ -52,21 +53,25 @@ import (
 //
 // The compilation is exact, not approximate: Similarity returns results
 // bit-identical to Tree.Similarity (same LogSim, Start, End, in every
-// estimation mode). Two facts make the node-level precomputation sound:
+// estimation mode). §3 predicts from the prediction node: the deepest
+// node of the context's root path reached through significant nodes
+// only. The compile therefore lays out the root and those nodes, the
+// sparse tree of significant contexts, and gives each its own score
+// row; the deepest match of a context among them is its prediction
+// node. The effective significance threshold (including the adaptive
+// variant) depends only on tree state, which is frozen at compile time.
+// A node's count never exceeds its parent's (a context's occurrences
+// are a subset of its suffix's), so significance is monotone along root
+// paths and the compiled nodes are just the significant ones. Most of
+// an uncapped tree is insignificant — in the batch workload's final
+// trees about 1 node in 200 is significant — and no scan predicts from
+// those nodes, so the compile skips them.
 //
-//   - a node's occurrence count never exceeds its parent's (a context's
-//     occurrences are a subset of its suffix's), so significance is
-//     monotone along every root path and "deepest significant
-//     ancestor-or-self of the deepest matching node" is exactly the
-//     prediction node §3's root-down walk finds;
-//   - the effective significance threshold (including the adaptive
-//     variant) depends only on tree state, which is frozen at compile
-//     time.
-//
-// Shrinkage-mode trees (Config.Shrinkage > 0) compile with one score row
-// per node: the shrunk estimate blends counts down the root path to the
-// deepest matching node, so it is a function of that node alone, which
-// the compiler evaluates top-down with the tree scan's arithmetic.
+// Shrinkage-mode trees (Config.Shrinkage > 0) compile every node, each
+// with a score row of its own: the shrunk estimate blends counts down
+// the root path to the deepest matching node, significant or not, so it
+// is a function of that node alone, which the compiler evaluates
+// top-down with the tree scan's arithmetic.
 //
 // The transition automaton needs one more property: the node set must
 // be slink-closed — every node's context minus its most recent symbol
@@ -74,10 +79,11 @@ import (
 // depends on history the current state does not hold. Insert maintains
 // that closure (every context's suffixes are contexts of earlier
 // positions), but pruning can evict a node w while a node w·s survives
-// on another branch. The compiler then closes the flattened tree, as
-// Ron, Singer and Tishby's PST-to-automaton construction does: each
-// missing link target becomes a virtual node, which has no tree slot,
-// is never significant, and takes its parent's score row. The deepest
+// on another branch, and a significant node's link target can be
+// insignificant where pruning took counts from it. The compiler then
+// closes the flattened tree, as Ron, Singer and Tishby's PST-to-automaton
+// construction does: each missing link target becomes a virtual node,
+// which has no tree slot and takes its parent's score row. The deepest
 // virtual match of a context then scores with the row of its deepest
 // real match — the node the tree scan predicts from — so every tree,
 // pruned or not, compiles the one O(1)-per-symbol automaton.
@@ -117,10 +123,10 @@ type Snapshot struct {
 	csrDst     []int32
 	parent     []int32
 
-	// row[node] indexes the precomputed score row of the node's deepest
-	// significant real ancestor-or-self (under shrinkage, of its deepest
-	// real ancestor-or-self); logRatio[row*n + sym] is the fully
-	// adjusted ln P̂(sym | ctx) − ln p(sym) (−Inf for impossible symbols).
+	// row[node] indexes the node's precomputed score row: its own for a
+	// real node, its deepest real ancestor's for a virtual one;
+	// logRatio[row*n + sym] is the fully adjusted ln P̂(sym | ctx) −
+	// ln p(sym) (−Inf for impossible symbols).
 	row      []int32
 	logRatio []float64
 
@@ -222,10 +228,11 @@ func (s *Snapshot) fold(background []float64) {
 	s.logRatio, s.background = ratio, background
 }
 
-// flatTree is a context tree flattened in breadth-first order, with its
-// score row index: what the automaton builder compiles. CompileSnapshot
-// flattens a live tree; SnapshotFromArena reads one from the child
-// sections and rows of a legacy descend arena, which hold these arrays.
+// flatTree is a context tree flattened in breadth-first order: what the
+// automaton builder compiles, each node with a score row of its own.
+// CompileSnapshot flattens the nodes of a live tree it keeps;
+// SnapshotFromArena reads one from the child sections and rows of a
+// legacy descend arena.
 type flatTree struct {
 	n, maxDepth int
 
@@ -235,70 +242,68 @@ type flatTree struct {
 	parent     []int32
 	edge       []seq.Symbol
 	childStart []int32
-
-	// row[i] indexes node i's score row (n entries a row).
-	row []int32
 }
 
-// layout lays the tree out in breadth-first order, each node's children
-// in the ascending order of its run — a node's parent always precedes it
-// (so every recurrence over parents reads data that is already final),
-// sibling order is deterministic, and child lookup is a binary search
-// over one contiguous span. It returns the structure, without score
-// rows, and each compiled index's tree slot.
-func (t *Tree) layout() (*flatTree, []Slot) {
-	num := t.numNodes
+// layout lays out the root and every node reached from it through nodes
+// whose count is at least minCount, in breadth-first order, each node's
+// children in the ascending order of its run — a node's parent always
+// precedes it (so every recurrence over parents reads data that is
+// already final), sibling order is deterministic, and child lookup is a
+// binary search over one contiguous span. minCount ≤ 0 lays out the
+// whole tree. It returns the structure and each compiled index's tree
+// slot.
+func (t *Tree) layout(minCount int64) (*flatTree, []Slot) {
+	capacity := 1
+	if minCount <= 0 {
+		capacity = t.numNodes
+	}
 	f := &flatTree{
 		n:          t.cfg.AlphabetSize,
 		maxDepth:   t.cfg.MaxDepth,
-		parent:     make([]int32, num),
-		edge:       make([]seq.Symbol, num),
-		childStart: make([]int32, num+1),
+		parent:     make([]int32, 1, capacity),
+		edge:       make([]seq.Symbol, 1, capacity),
+		childStart: make([]int32, 0, capacity+1),
 	}
-	nodes := append(make([]Slot, 0, num), t.Root())
+	nodes := append(make([]Slot, 0, capacity), t.Root())
 	for head := 0; head < len(nodes); head++ {
-		f.childStart[head] = int32(len(nodes) - 1)
+		f.childStart = append(f.childStart, int32(len(nodes)-1))
 		syms, slots := t.kids(nodes[head])
 		for j, sym := range syms {
-			f.parent[len(nodes)] = int32(head)
-			f.edge[len(nodes)] = sym
+			if t.count[slots[j]] < minCount {
+				continue
+			}
+			f.parent = append(f.parent, int32(head))
+			f.edge = append(f.edge, sym)
 			nodes = append(nodes, Slot(slots[j]))
 		}
 	}
-	f.childStart[num] = int32(num - 1)
+	f.childStart = append(f.childStart, int32(len(nodes)-1))
 	return f, nodes
 }
 
-// flatten lays the tree out and computes its ln P̂ rows, before any
-// background is folded in.
+// flatten lays out the nodes a compile keeps and computes their ln P̂
+// rows, one per node, before any background is folded in: the root and
+// the significant nodes, or under shrinkage every node. The row entries
+// replay the scan's arithmetic — the estimate, adjust, then Log — so the
+// compiled values are bit-identical to what Tree.Similarity computes per
+// symbol before it subtracts ln p(sym).
 func (t *Tree) flatten() (*flatTree, []float64) {
-	f, nodes := t.layout()
-	n, num := f.n, len(nodes)
-	f.row = make([]int32, num)
-
-	// Score rows: one per prediction-capable node (root + significant
-	// nodes); every other node inherits the row of its deepest
-	// significant ancestor — exact because significance is monotone
-	// along root paths. Under shrinkage every node has its own row. The
-	// row entries replay the scan's arithmetic — the estimate, adjust,
-	// then Log — so the compiled values are bit-identical to what
-	// Tree.Similarity computes per symbol before it subtracts ln p(sym).
 	ln := func(p float64) float64 {
 		if p <= 0 {
 			return math.Inf(-1)
 		}
 		return math.Log(p)
 	}
-	row := f.row
 	if kappa := t.cfg.Shrinkage; kappa > 0 {
-		// Every node scores with its own row, predictShrunk's blend down
-		// to it; BFS order blends a parent's raw row before its children.
-		lnP := make([]float64, num*n)
+		// Every node scores with predictShrunk's blend down to it; BFS
+		// order blends a parent's raw row before its children.
+		f, nodes := t.layout(0)
+		n := f.n
+		lnP := make([]float64, len(nodes)*n)
 		for sym := range n {
 			lnP[sym] = t.prob(nodes[0], seq.Symbol(sym))
 		}
-		for i := 1; i < num; i++ {
-			row[i] = int32(i)
+		for i := 1; i < len(nodes); i++ {
 			x, base, pbase := nodes[i], i*n, int(f.parent[i])*n
 			for sym, next := range t.nextRow(x) {
 				lnP[base+sym] = shrink(next, t.count[x], kappa, lnP[pbase+sym])
@@ -309,27 +314,19 @@ func (t *Tree) flatten() (*flatTree, []float64) {
 		}
 		return f, lnP
 	}
-	rows := 0
-	for i, x := range nodes {
-		if t.Significant(x) {
-			row[i] = int32(rows)
-			rows++
-		} else {
-			row[i] = row[f.parent[i]]
-		}
-	}
+	// PredictionNode's walk: a node predicts when it and every node
+	// above it but the root reach the significance threshold.
+	f, nodes := t.layout(int64(t.EffectiveSignificance()))
+	n := f.n
 	// Most entries of a row have next count 0, so they share one
 	// probability, adjust(0): take its logarithm once per compile.
-	lnP := make([]float64, rows*n)
+	lnP := make([]float64, len(nodes)*n)
 	zero := ln(t.adjust(0))
 	for i := range lnP {
 		lnP[i] = zero
 	}
 	for i, x := range nodes {
-		if !t.Significant(x) {
-			continue
-		}
-		dst := lnP[int(row[i])*n:][:n]
+		dst := lnP[i*n:][:n]
 		for sym, next := range t.nextRow(x) {
 			if next != 0 {
 				dst[sym] = ln(t.adjust(t.prob(x, seq.Symbol(sym))))
@@ -369,12 +366,17 @@ func (f *flatTree) automaton(limit int) (*Snapshot, error) {
 	}
 	parent, edge := f.parent, f.edge
 	num := len(parent)
-	// A virtual node takes its parent's score row, so by induction it
-	// scores with the row of its deepest real ancestor — the deepest real
-	// match of any context whose deepest match it is.
-	row := f.row
-	for v := numReal; v < num; v++ {
-		row = append(row, row[parent[v]])
+	// A real node scores with its own row. A virtual node takes its
+	// parent's, so by induction it scores with the row of its deepest
+	// real ancestor — the deepest real match of any context whose deepest
+	// match it is.
+	row := make([]int32, num)
+	for v := range row {
+		if v < numReal {
+			row[v] = int32(v)
+		} else {
+			row[v] = row[parent[v]]
+		}
 	}
 
 	// first[y] is y's most recent context symbol, the root edge of its
@@ -599,6 +601,12 @@ func (c *closer) virtual(p int32, sym seq.Symbol) (int32, error) {
 
 // Version returns the tree Version the snapshot was compiled at.
 func (s *Snapshot) Version() uint64 { return s.version }
+
+// Nodes returns the number of compiled nodes: the real ones, each with
+// a score row, and the virtual ones that close them under suffix links.
+// Nodes times the alphabet size measures what a compile of the tree
+// writes.
+func (s *Snapshot) Nodes() int { return len(s.nodeTrans) }
 
 // Tree returns the tree the snapshot was compiled from, or nil for a
 // snapshot reconstructed from a serialized arena or Detached.

@@ -20,23 +20,36 @@ func requireIdentical(t *testing.T, tree *Tree, snap *Snapshot, probe []seq.Symb
 	}
 }
 
-// requireVirtualRows checks the nodes the compiler appended to close
-// the tree under suffix links — every compiled node past the tree's own
-// — and returns their count: each hangs below an earlier node and
-// scores with its parent's row, and so with its deepest real
+// requireVirtualRows checks that a snapshot compiled exactly the nodes
+// it predicts from — the root and the significant nodes, or every node
+// under shrinkage — each with a score row of its own, and then the
+// nodes the compiler appended to close them under suffix links. It
+// returns the count of those virtual nodes: each hangs below an earlier
+// node and scores with its parent's row, and so with its deepest real
 // ancestor's.
 func requireVirtualRows(t *testing.T, tree *Tree, snap *Snapshot) int {
 	t.Helper()
-	num := tree.NumNodes()
-	if len(snap.row) < num {
-		t.Fatalf("%d compiled nodes for a %d-node tree", len(snap.row), num)
+	real := 0
+	tree.Walk(func(x Slot) bool {
+		if tree.cfg.Shrinkage > 0 || tree.Significant(x) {
+			real++
+		}
+		return true
+	})
+	if rows := len(snap.logRatio) / snap.n; rows != real || len(snap.row) < real {
+		t.Fatalf("%d score rows and %d compiled nodes for a tree of %d nodes, %d of which predict", rows, len(snap.row), tree.NumNodes(), real)
 	}
-	for v := num; v < len(snap.row); v++ {
+	for i, r := range snap.row[:real] {
+		if int(r) != i {
+			t.Fatalf("real node %d scores with row %d, not its own", i, r)
+		}
+	}
+	for v := real; v < len(snap.row); v++ {
 		if p := snap.parent[v]; p >= int32(v) || snap.row[v] != snap.row[p] {
 			t.Fatalf("virtual node %d hangs below node %d and scores with row %d, not its parent's", v, p, snap.row[v])
 		}
 	}
-	return len(snap.row) - num
+	return len(snap.row) - real
 }
 
 func uniformBg(n int) []float64 {
@@ -372,7 +385,8 @@ func FuzzSnapshotSimilarity(f *testing.F) {
 // the shrinkage estimator when kappa is positive. A positive capBytes
 // caps the tree with expected-vector pruning, as the stream engine caps
 // its cluster trees (§5.1): the cap takes the tree out of suffix-link
-// closure, so its snapshot compiles virtual nodes.
+// closure, though not its significant nodes, so a default-estimator
+// snapshot of it compiles no virtual node.
 func benchTree(b *testing.B, alpha, seqLen int, kappa float64, capBytes int) (*Tree, [][]seq.Symbol, []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewPCG(61, 62))
@@ -388,15 +402,16 @@ func benchTree(b *testing.B, alpha, seqLen int, kappa float64, capBytes int) (*T
 	return tree, probes, uniformBg(alpha)
 }
 
-// reportVirtual reports the snapshot's virtual nodes per tree node.
-func reportVirtual(b *testing.B, tree *Tree, snap *Snapshot) {
-	b.ReportMetric(float64(len(snap.row)-tree.NumNodes())/float64(tree.NumNodes()), "virtual/node")
+// reportVirtual reports the snapshot's virtual nodes per real compiled
+// node, each of which has a score row.
+func reportVirtual(b *testing.B, snap *Snapshot) {
+	real := len(snap.logRatio) / snap.n
+	b.ReportMetric(float64(snap.Nodes()-real)/float64(real), "virtual/node")
 }
 
 // BenchmarkSimilarity compares the pointer-walking tree scan with the
 // compiled snapshot on the same workload — the acceptance benchmark for
-// the snapshot optimization — on closed trees and on a capped tree
-// whose automaton needs virtual nodes.
+// the snapshot optimization — on closed trees and on a capped tree.
 func BenchmarkSimilarity(b *testing.B) {
 	for _, size := range []struct {
 		name                  string
@@ -420,7 +435,7 @@ func BenchmarkSimilarity(b *testing.B) {
 					benchSink = scan.run(probes[i%len(probes)])
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size.slen), "ns/symbol")
-				reportVirtual(b, tree, snap)
+				reportVirtual(b, snap)
 			})
 		}
 	}
@@ -431,7 +446,7 @@ var benchSink Similarity
 
 // BenchmarkCompileSnapshot prices the compilation itself, the cost the
 // engine pays once per (cluster, scoring pass), for a closed tree and
-// for a capped one that compiles virtual nodes.
+// for a capped one.
 func BenchmarkCompileSnapshot(b *testing.B) {
 	b.Run("closed", func(b *testing.B) { benchCompile(b, 0, 0) })
 	b.Run("pruned", func(b *testing.B) { benchCompile(b, 0, 256<<10) })
@@ -472,8 +487,9 @@ func BenchmarkSnapshotRefold(b *testing.B) {
 var benchSnap *Snapshot
 
 // benchCompile compiles benchTree's tree b.N times and reports its node
-// count, the arena bytes the snapshot takes per node (ArenaBytes, which
-// writes no arena) and its virtual nodes per tree node.
+// count, the real nodes the compile keeps, the arena bytes the snapshot
+// takes per tree node (ArenaBytes, which writes no arena) and its
+// virtual nodes per real compiled node.
 func benchCompile(b *testing.B, kappa float64, capBytes int) {
 	tree, _, bg := benchTree(b, 20, 300, kappa, capBytes)
 	b.ResetTimer()
@@ -483,6 +499,7 @@ func benchCompile(b *testing.B, kappa float64, capBytes int) {
 	}
 	// Reported after the loop: ResetTimer drops user metrics.
 	b.ReportMetric(float64(tree.NumNodes()), "nodes")
+	b.ReportMetric(float64(len(snap.logRatio)/snap.n), "compiled")
 	b.ReportMetric(float64(snap.ArenaBytes())/float64(tree.NumNodes()), "arenaB/node")
-	reportVirtual(b, tree, snap)
+	reportVirtual(b, snap)
 }
